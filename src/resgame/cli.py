@@ -20,7 +20,6 @@ from .dynamics import ControlLaw, Scenario, h2_closed_form, h2_energy_oracle
 from .errors import ConfigError, ConvergenceError, EnumerationLimitError, GraphError
 from .graphcore import center, degree_profile, eccentricities
 from .resistance import effective_center, effective_eccentricities
-from .scenario_io import RunConfig
 from .verify import run_suites
 
 
@@ -41,18 +40,17 @@ def _parse_gains(text: str) -> list[float]:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    rendered = json.dumps(obj, indent=2, sort_keys=True)
     if out:
         scenario_io.write_json_report(obj, out)
     else:
-        print(rendered)
+        print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _add_common(parser: argparse.ArgumentParser, graph_required=True) -> None:
+def _add_common(parser: argparse.ArgumentParser, graph_required=True, csv=False) -> None:
     parser.add_argument("--graph", required=graph_required, help="edge-list or JSON graph file")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--format", dest="fmt", default="json", choices=["json", "csv"])
-    parser.add_argument("--seed", type=int, default=0)
+    if csv:
+        parser.add_argument("--format", dest="fmt", default="json", choices=["json", "csv"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("centrality", help="degrees, center, and effective center")
     _add_common(p)
-    p.add_argument("--effective", action="store_true", help="kept for symmetry; both centralities are always reported")
 
     p = sub.add_parser("h2", help="squared H2 norm of one attacked scenario")
     _add_common(p, graph_required=False)
@@ -76,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="cross-check against the energy-integration oracle")
 
     p = sub.add_parser("matrix", help="full payoff matrix over f-subsets")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--law", type=int, required=True, choices=[1, 2])
     p.add_argument("--gain", type=float, required=True)
     p.add_argument("--f", type=int, required=True)
@@ -88,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=int, required=True)
 
     p = sub.add_parser("sweep", help="solve the game on a grid of gains")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--law", type=int, required=True, choices=[1, 2])
     p.add_argument("--gains", required=True, help="comma-separated gain grid")
     p.add_argument("--f", type=int, required=True)
@@ -106,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_centrality(args) -> int:
     graph = scenario_io.load_graph(args.graph)
-    RunConfig(graph=graph, fmt=args.fmt, seed=args.seed).validate()
     prof = degree_profile(graph)
     report = {
         "n": graph.n,
@@ -133,23 +129,12 @@ def _scenario_from_args(args) -> Scenario:
     ]
     if missing:
         raise ConfigError(f"h2 needs either --config or all of: {', '.join(missing)}")
-    graph = scenario_io.load_graph(args.graph)
-    cfg = RunConfig(
-        graph=graph,
-        law=args.law,
-        gain=args.gain,
-        defense=_parse_nodes(args.defense),
-        attack=_parse_nodes(args.attack),
-        fmt=args.fmt,
-        seed=args.seed,
-    )
-    cfg.validate()
     return Scenario(
-        graph=graph,
+        graph=scenario_io.load_graph(args.graph),
         law=ControlLaw.from_int(args.law),
         gain=args.gain,
-        defense_set=cfg.defense,
-        attack_set=cfg.attack,
+        defense_set=_parse_nodes(args.defense),
+        attack_set=_parse_nodes(args.attack),
     )
 
 
@@ -175,7 +160,6 @@ def cmd_h2(args) -> int:
 
 def cmd_matrix(args) -> int:
     graph = scenario_io.load_graph(args.graph)
-    RunConfig(graph=graph, law=args.law, gain=args.gain, f=args.f, fmt=args.fmt, seed=args.seed).validate()
     m = game.build_matrix(graph, args.gain, args.f, ControlLaw.from_int(args.law))
     if args.fmt == "csv":
         if not args.out:
@@ -195,7 +179,6 @@ def cmd_matrix(args) -> int:
 
 def cmd_solve(args) -> int:
     graph = scenario_io.load_graph(args.graph)
-    RunConfig(graph=graph, law=args.law, gain=args.gain, f=args.f, fmt=args.fmt, seed=args.seed).validate()
     law = ControlLaw.from_int(args.law)
     solved = game.solve(game.build_matrix(graph, args.gain, args.f, law))
     predicted = game.predict_equilibrium(graph, args.gain, args.f, law)
@@ -213,7 +196,6 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     graph = scenario_io.load_graph(args.graph)
     gains = _parse_gains(args.gains)
-    RunConfig(graph=graph, law=args.law, gains=gains, f=args.f, fmt=args.fmt, seed=args.seed).validate()
     rows = game.sweep_gain(graph, args.f, ControlLaw.from_int(args.law), gains)
     if args.fmt == "csv":
         if not args.out:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import ControlLaw
 from .errors import ConfigError, EnumerationLimitError
-from .graphcore import Graph, degree_profile, degrees, eccentricities
+from .graphcore import Graph, degree_profile, degrees
 from .resistance import (
     GroundedSystem,
     effective_eccentricities,
@@ -30,10 +30,14 @@ DEFAULT_ENUM_CAP = 10_000
 ENUM_CAP_ENV = "RESGAME_ENUM_CAP"
 
 
-def _enum_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+def _check_cap(index: SubsetIndex, cap: int | None) -> None:
+    if cap is None:
+        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    if index.size > cap:
+        raise EnumerationLimitError(
+            f"C({index.n},{index.f}) = {index.size} subsets exceeds the enumeration cap "
+            f"{cap} (override via {ENUM_CAP_ENV})"
+        )
 
 
 class SubsetIndex:
@@ -114,14 +118,35 @@ def _check_sets(g: Graph, attack_set, defense_set):
             raise ConfigError(f"node set {nodes} out of range for n={g.n}")
 
 
+def _indicator(n: int, defender_sets) -> np.ndarray:
+    y = np.zeros((len(defender_sets), n))
+    for r, sub in enumerate(defender_sets):
+        y[r, list(sub)] = 1.0
+    return y
+
+
+def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets) -> np.ndarray:
+    """Per-node attack costs W: W[r, i] is what attacking node i costs row r.
+
+    Under both laws the payoff of an attack set is the sum of W[r] over the
+    attacked nodes (plus f/2 for law 2): law 1 W[r, i] = (d_i+1)/(2(1+kappa y_i)),
+    law 2 W[r] = diag(L_r^{-1})/2 with L_r the row's grounded Laplacian.
+    """
+    if law is ControlLaw.ABS_VELOCITY:
+        return 0.5 * (degrees(g) + 1.0)[None, :] / (
+            1.0 + gain * _indicator(g.n, defender_sets)
+        )
+    w = np.empty((len(defender_sets), g.n))
+    for r, sub in enumerate(defender_sets):
+        w[r] = 0.5 * grounded_inverse_diag(GroundedSystem(g, sub, gain))
+    return w
+
+
 def payoff_j1(g: Graph, gain: float, attack_set, defense_set) -> float:
     """Law-1 payoff: half the damped-degree sum over attacked nodes."""
     _check_sets(g, attack_set, defense_set)
-    d = degrees(g)
-    defended = set(defense_set)
-    return 0.5 * sum(
-        (d[i] + 1.0) / (1.0 + (gain if i in defended else 0.0)) for i in attack_set
-    )
+    w = _payoff_rows(g, gain, ControlLaw.ABS_VELOCITY, [tuple(defense_set)])[0]
+    return float(sum(w[i] for i in attack_set))
 
 
 def payoff_j2(g: Graph, gain: float, attack_set, defense_set) -> float:
@@ -129,10 +154,8 @@ def payoff_j2(g: Graph, gain: float, attack_set, defense_set) -> float:
     _check_sets(g, attack_set, defense_set)
     if not list(defense_set):
         raise ConfigError("law-2 payoff requires a nonempty defense set")
-    gdiag = grounded_inverse_diag(GroundedSystem(g, tuple(defense_set), gain))
-    return 0.5 * len(list(attack_set)) + 0.5 * float(
-        sum(gdiag[i] for i in attack_set)
-    )
+    w = _payoff_rows(g, gain, ControlLaw.REL_VELOCITY, [tuple(defense_set)])[0]
+    return 0.5 * len(list(attack_set)) + float(sum(w[i] for i in attack_set))
 
 
 def closed_form_entry_j1(g: Graph, gain: float, attack_set, defense_set) -> float:
@@ -159,25 +182,11 @@ def build_matrix(
     if gain <= 0:
         raise ConfigError(f"gain must be positive, got {gain}")
     index = SubsetIndex(g.n, f)
-    cap_val = _enum_cap(cap)
-    if index.size > cap_val:
-        raise EnumerationLimitError(
-            f"C({g.n},{f}) = {index.size} subsets exceeds the enumeration cap "
-            f"{cap_val} (override via {ENUM_CAP_ENV})"
-        )
+    _check_cap(index, cap)
     subsets = index.all_subsets()
-    indicator = np.zeros((index.size, g.n))
-    for r, sub in enumerate(subsets):
-        indicator[r, list(sub)] = 1.0
-    if law is ControlLaw.ABS_VELOCITY:
-        d = degrees(g)
-        per_node = 0.5 * (d + 1.0)[None, :] / (1.0 + gain * indicator)
-        values = per_node @ indicator.T
-    else:
-        per_node = np.empty((index.size, g.n))
-        for r, sub in enumerate(subsets):
-            per_node[r] = 0.5 * grounded_inverse_diag(GroundedSystem(g, sub, gain))
-        values = 0.5 * f + per_node @ indicator.T
+    values = _payoff_rows(g, gain, law, subsets) @ _indicator(g.n, subsets).T
+    if law is ControlLaw.REL_VELOCITY:
+        values += 0.5 * f
     return GameMatrix(graph=g, law=law, gain=gain, f=f, index=index, values=values)
 
 
@@ -185,17 +194,22 @@ def find_nash(m: GameMatrix) -> tuple[int, int, float] | None:
     """Lexicographically smallest pure saddle point, if one exists.
 
     A cell is a saddle when it is the maximum of its row (attacker cannot
-    improve) and the minimum of its column (defender cannot improve).
+    improve) and the minimum of its column (defender cannot improve). One
+    exists iff max-min equals min-max, and then the saddles are exactly the
+    cells whose row maximum is the min-max and whose column minimum is the
+    max-min, so the smallest takes the first such row and the first such
+    column.
     """
     values = m.values
     row_max = values.max(axis=1)
     col_min = values.min(axis=0)
-    for r in range(values.shape[0]):
-        for c in range(values.shape[1]):
-            v = values[r, c]
-            if v >= row_max[r] and v <= col_min[c]:
-                return r, c, float(v)
-    return None
+    upper = row_max.min()
+    lower = col_min.max()
+    if lower != upper:
+        return None
+    r = int(np.argmax(row_max == upper))
+    c = int(np.argmax(col_min == lower))
+    return r, c, float(values[r, c])
 
 
 def nash_threshold(g: Graph) -> float:
@@ -250,6 +264,8 @@ def predict_equilibrium(
     the effective-center / tree-center result (law 2, f = 1), and the
     virtual-node resistance min-max (law 2, f > 1). Returns kind "none"
     when no hypothesis applies, signalling the matrix solver is needed.
+    The last reads the solver's own per-node payoff table, so it restates
+    the brute-force solution rather than predicting it independently.
     """
     if gain <= 0:
         raise ConfigError(f"gain must be positive, got {gain}")
@@ -316,25 +332,19 @@ def predict_equilibrium(
             theorem="tree-center" if on_tree else "effective-center",
             witness="graph center" if on_tree else "effective center",
         )
-    cap_val = _enum_cap(cap)
-    if index.size > cap_val:
-        raise EnumerationLimitError(
-            f"C({g.n},{f}) = {index.size} subsets exceeds the enumeration cap "
-            f"{cap_val} (override via {ENUM_CAP_ENV})"
-        )
-    best = None
-    for sub in index.all_subsets():
-        gdiag = grounded_inverse_diag(GroundedSystem(g, sub, gain))
-        worst_nodes = tuple(sorted(np.argsort(-gdiag, kind="stable")[:f].tolist()))
-        worst = float(sum(gdiag[i] for i in worst_nodes))
-        if best is None or worst < best[0]:
-            best = (worst, sub, worst_nodes)
-    worst, defender, attacker = best
+    _check_cap(index, cap)
+    subsets = index.all_subsets()
+    w = _payoff_rows(g, gain, law, subsets)
+    rows = np.arange(len(subsets))
+    # each row's f worst nodes (stable ties), summed in node order
+    top = np.sort(np.argsort(-w, axis=1, kind="stable")[:, :f], axis=1)
+    worst = sum(w[rows, top[:, k]] for k in range(f))
+    r = int(worst.argmin())
     return EquilibriumReport(
         kind="stackelberg_defender_leader",
-        defender_set=defender,
-        attacker_set=attacker,
-        value=0.5 * f + 0.5 * worst,
+        defender_set=subsets[r],
+        attacker_set=tuple(top[r].tolist()),
+        value=0.5 * f + float(worst[r]),
         theorem="resistance-minimax",
         witness="min-max virtual-node resistance set",
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 from .dynamics import ControlLaw, Scenario
@@ -111,52 +111,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(obj, base_dir=path.parent)
 
 
-@dataclass
-class RunConfig:
-    """Validated CLI run parameters; collects every violation at once."""
-
-    graph: Graph
-    law: int | None = None
-    gain: float | None = None
-    gains: list[float] = field(default_factory=list)
-    f: int | None = None
-    defense: tuple[int, ...] = ()
-    attack: tuple[int, ...] = ()
-    out: str | None = None
-    fmt: str = "json"
-    seed: int = 0
-    require_top_degrees: bool = False
-
-    def validate(self) -> None:
-        problems = []
-        n = self.graph.n
-        if self.law is not None and self.law not in (1, 2):
-            problems.append(f"law must be 1 or 2, got {self.law}")
-        if self.gain is not None and self.gain <= 0:
-            problems.append(f"gain must be positive, got {self.gain}")
-        for k in self.gains:
-            if k <= 0:
-                problems.append(f"grid gain must be positive, got {k}")
-        if self.f is not None and not 1 <= self.f <= n:
-            problems.append(f"budget f={self.f} must satisfy 1 <= f <= n={n}")
-        for label, nodes in (("defense", self.defense), ("attack", self.attack)):
-            if any(not 0 <= i < n for i in nodes):
-                problems.append(f"{label} set {list(nodes)} out of range for n={n}")
-            if len(set(nodes)) != len(nodes):
-                problems.append(f"{label} set {list(nodes)} has duplicates")
-        if self.defense and self.attack and len(self.defense) != len(self.attack):
-            problems.append(
-                "defense and attack budgets must be equal "
-                f"({len(self.defense)} vs {len(self.attack)})"
-            )
-        if self.require_top_degrees and self.f is not None and n < 2 * self.f:
-            problems.append(f"top-degrees prediction needs n >= 2f (n={n}, f={self.f})")
-        if self.fmt not in ("json", "csv"):
-            problems.append(f"format must be json or csv, got {self.fmt!r}")
-        if problems:
-            raise ConfigError("; ".join(problems))
-
-
 def report_to_dict(report: EquilibriumReport) -> dict:
     d = asdict(report)
     d["defender_set"] = list(report.defender_set)
@@ -232,4 +186,4 @@ def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["defender\\attacker"] + headers)
         for r, sub in enumerate(subsets):
-            writer.writerow([headers[r]] + [repr(v) for v in m.values[r]])
+            writer.writerow([headers[r]] + [repr(float(v)) for v in m.values[r]])

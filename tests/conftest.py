@@ -1,24 +1,7 @@
 import numpy as np
 import pytest
 
-from resgame import Graph
-
-
-def random_connected_graph(rng, n, tree=False, weighted=False):
-    """Random spanning tree plus optional extra edges and random weights."""
-    edges = {}
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        edges[(u, v)] = 1.0
-    if not tree:
-        for _ in range(int(rng.integers(0, n))):
-            i, j = (int(x) for x in rng.integers(0, n, 2))
-            if i != j:
-                edges[(min(i, j), max(i, j))] = 1.0
-    if weighted:
-        for key in edges:
-            edges[key] = float(rng.uniform(0.2, 3.0))
-    return Graph(n, tuple((i, j, w) for (i, j), w in edges.items()))
+from resgame.verify import random_connected_graph  # noqa: F401  (imported by tests)
 
 
 @pytest.fixture

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import resgame
 from resgame.cli import main
+
+SRC = str(Path(resgame.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -82,12 +89,46 @@ class TestH2:
         assert code == 0
         assert rep["h2_squared"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_unequal_budgets_flags_match_config(self, capsys, tmp_path):
+        # the README example: one defended node, two attacked nodes
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"graph": "g.txt", "law": 2, "gain": 1,
+                                   "defense": [1], "attack": [0, 2]}))
+        code, by_flags = run_json(
+            capsys,
+            ["h2", "--graph", str(graph), "--law", "2", "--gain", "1",
+             "--defense", "1", "--attack", "0,2", "--oracle"],
+        )
+        assert code == 0
+        code, by_config = run_json(capsys, ["h2", "--config", str(cfg), "--oracle"])
+        assert code == 0
+        assert by_flags == by_config
+
     def test_missing_flags_is_validation_error(self, p3):
         assert main(["h2", "--graph", p3, "--law", "1"]) == 1
 
     def test_bad_node_is_validation_error(self, p3):
         assert main(["h2", "--graph", p3, "--law", "1", "--gain", "1",
                      "--attack", "9"]) == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["centrality", "--effective"],
+        ["centrality", "--seed", "1"],
+        ["centrality", "--format", "csv"],
+        ["h2", "--seed", "1"],
+        ["h2", "--format", "csv"],
+        ["solve", "--law", "1", "--gain", "1", "--f", "1", "--seed", "1"],
+        ["solve", "--law", "1", "--gain", "1", "--f", "1", "--format", "csv"],
+    ],
+)
+def test_flags_that_did_nothing_are_rejected(p3, extra):
+    with pytest.raises(SystemExit):
+        main([extra[0], "--graph", p3] + extra[1:])
 
 
 class TestMatrixAndSolve:
@@ -171,6 +212,21 @@ class TestVerify:
         assert code == 3
         assert rep["ok"] is False
         assert "invariant" in rep["suites"]["laplacian-structure"]
+
+    @pytest.mark.parametrize("fault", [[], ["--inject-fault", "laplacian-sign"]])
+    def test_output_is_identical_across_hash_seeds(self, fault):
+        # the injected fault puts the drawn graph's spectrum into the report
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "resgame.cli", *self.ARGS, *fault],
+                env=env, capture_output=True, check=False,
+            )
+            assert proc.returncode == (3 if fault else 0), proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_seeded_output_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

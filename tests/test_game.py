@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from resgame import (
     ControlLaw,
     EnumerationLimitError,
     Graph,
+    GroundedSystem,
     SubsetIndex,
     build_matrix,
     center,
@@ -16,6 +18,7 @@ from resgame import (
     degrees,
     effective_eccentricities,
     find_nash,
+    grounded_inverse_diag,
     nash_threshold,
     path_graph,
     payoff_j1,
@@ -176,6 +179,38 @@ class TestNash:
         )
         assert find_nash(m) == (0, 0, 1.0)
 
+    @staticmethod
+    def _first_saddle_by_scan(values):
+        row_max = values.max(axis=1)
+        col_min = values.min(axis=0)
+        for r in range(values.shape[0]):
+            for c in range(values.shape[1]):
+                if values[r, c] >= row_max[r] and values[r, c] <= col_min[c]:
+                    return r, c, float(values[r, c])
+        return None
+
+    def test_matches_cell_scan_with_many_saddles(self):
+        # integer matrices with a planted block of saddles R x C (rows of R are
+        # <= v off C, columns of C are >= v off R), mixed with plain random ones
+        base = build_matrix(path_graph(3), 0.5, 1, LAW1)
+        rng = np.random.default_rng(4)
+        multi = 0
+        for trial in range(400):
+            nr, nc = (int(k) for k in rng.integers(1, 7, 2))
+            values = rng.integers(0, 4, (nr, nc)).astype(float)
+            if trial % 2:
+                v = float(rng.integers(1, 3))
+                rows = rng.random(nr) < 0.5
+                cols = rng.random(nc) < 0.5
+                rows[rng.integers(nr)] = cols[rng.integers(nc)] = True
+                values[np.ix_(rows, ~cols)] = np.minimum(values[np.ix_(rows, ~cols)], v)
+                values[np.ix_(~rows, cols)] = np.maximum(values[np.ix_(~rows, cols)], v)
+                values[np.ix_(rows, cols)] = v
+                multi += rows.sum() * cols.sum() > 1
+            m = dataclasses.replace(base, values=values)
+            assert find_nash(m) == self._first_saddle_by_scan(values)
+        assert multi > 100
+
 
 class TestSolveAndPredict:
     def test_stackelberg_max_degree_defender(self):
@@ -242,6 +277,24 @@ class TestSolveAndPredict:
             assert pred.theorem == "resistance-minimax"
             rep = stackelberg_defender_leader(build_matrix(g, 1.0, 2, LAW2))
             assert rep.value == pytest.approx(pred.value, abs=1e-9)
+
+    def test_resistance_minimax_matches_subset_loop(self, rng):
+        # reference: one grounded factorization per defender subset, the f
+        # largest diagonal entries (stable ties), first strict minimum wins
+        graphs = [complete_graph(5), Graph(5, tuple((i, (i + 1) % 5, 1.0) for i in range(5)))]
+        graphs += [random_connected_graph(rng, 7, weighted=bool(k % 2)) for k in range(6)]
+        for g in graphs:
+            for f in (2, 3):
+                best = None
+                for sub in SubsetIndex(g.n, f).all_subsets():
+                    gdiag = grounded_inverse_diag(GroundedSystem(g, sub, 0.7))
+                    nodes = tuple(sorted(np.argsort(-gdiag, kind="stable")[:f].tolist()))
+                    worst = float(sum(gdiag[i] for i in nodes))
+                    if best is None or worst < best[0]:
+                        best = (worst, sub, nodes)
+                pred = predict_equilibrium(g, 0.7, f, LAW2)
+                assert (pred.defender_set, pred.attacker_set) == best[1:]
+                assert pred.value == 0.5 * f + 0.5 * best[0]
 
     def test_no_prediction_for_weighted_law1(self):
         g = Graph(3, ((0, 1, 2.0), (1, 2, 1.0)))

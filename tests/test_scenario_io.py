@@ -7,7 +7,6 @@ from resgame import (
     ControlLaw,
     EquilibriumReport,
     GraphError,
-    RunConfig,
     build_matrix,
     graph_to_json,
     load_graph,
@@ -107,32 +106,6 @@ class TestScenarioConfig:
             scenario_from_dict({"graph": {"n": 2, "edges": [[0, 1]]}, "law": 1, "attack": [0]})
 
 
-class TestRunConfig:
-    def test_collects_all_violations(self):
-        cfg = RunConfig(
-            graph=path_graph(3),
-            law=5,
-            gain=-1.0,
-            f=9,
-            defense=(7,),
-            attack=(0, 0),
-            fmt="xml",
-        )
-        with pytest.raises(ConfigError) as exc:
-            cfg.validate()
-        msg = str(exc.value)
-        for fragment in ("law", "gain", "budget", "defense", "duplicates", "format"):
-            assert fragment in msg
-
-    def test_valid_config_passes(self):
-        RunConfig(graph=path_graph(3), law=1, gain=0.5, f=1).validate()
-
-    def test_unequal_budgets_rejected(self):
-        cfg = RunConfig(graph=path_graph(4), defense=(0,), attack=(1, 2))
-        with pytest.raises(ConfigError, match="budgets"):
-            cfg.validate()
-
-
 class TestReports:
     def test_report_round_trip(self, tmp_path):
         rep = EquilibriumReport(
@@ -161,6 +134,9 @@ class TestReports:
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[:2] == ["defender\\attacker", "0:0"]
         assert len(lines) == 4
+        # every cell is a plain float literal that round-trips bit-exactly
+        cells = [line.split(",")[1:] for line in lines[1:]]
+        assert [[float(c) for c in row] for row in cells] == m.values.tolist()
 
     def test_write_report_bad_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot write"):
