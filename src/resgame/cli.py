@@ -53,8 +53,20 @@ def _add_common(parser: argparse.ArgumentParser, graph_required=True, csv=False)
         parser.add_argument("--format", dest="fmt", default="json", choices=["json", "csv"])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, the validation-error code.
+
+    argparse exits 2, which this CLI reserves for computation errors.
+    Subparsers are created with the parser's own class, so they inherit this.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resgame",
         description="Attacker-defender resilience games on networked dynamics.",
     )
@@ -154,6 +166,7 @@ def cmd_h2(args) -> int:
         oracle = h2_energy_oracle(scenario)
         report["oracle_h2_squared"] = oracle.value_sq
         report["oracle_relative_error"] = abs(oracle.value_sq - closed.value_sq) / closed.value_sq
+        report["oracle_diagnostics"] = oracle.diagnostics
     _emit_json(report, args.out)
     return 0
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,8 @@ class TestH2:
         assert code == 0
         # exact H2 of the middle node of P3 defended and attacked at gain 1
         assert rep["h2_squared"] == pytest.approx(85 / 88, abs=1e-12)
+        assert set(rep) == {"law", "gain", "defense", "attack", "h2_squared",
+                            "per_node", "constant"}
 
     def test_law2_defended_value_with_oracle(self, capsys, p3):
         code, rep = run_json(
@@ -80,6 +83,13 @@ class TestH2:
         assert code == 0
         assert rep["h2_squared"] == pytest.approx(1.0, abs=1e-12)
         assert rep["oracle_relative_error"] < 1e-6
+        diag = rep["oracle_diagnostics"]
+        assert set(diag) == {"decay_rate", "horizon", "steps", "tail_fraction"}
+        # the default grid: 20 slowest time constants, dt <= 0.005, even steps
+        assert diag["horizon"] == pytest.approx(20.0 / diag["decay_rate"], rel=1e-15)
+        grid = max(2000, math.ceil(diag["horizon"] / 0.005))
+        assert diag["steps"] == grid + grid % 2
+        assert 0 < diag["tail_fraction"] < 1e-8
 
     def test_config_file(self, capsys, tmp_path, p3):
         cfg = tmp_path / "scenario.json"
@@ -127,8 +137,28 @@ class TestH2:
     ],
 )
 def test_flags_that_did_nothing_are_rejected(p3, extra):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main([extra[0], "--graph", p3] + extra[1:])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["h2", "--law", "3"], ["solve", "--law", "1"], ["nosuchcommand"]],
+    ids=["no-command", "bad-choice", "missing-required", "unknown-command"],
+)
+def test_usage_errors_exit_as_validation_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["h2", "--help"])
+    assert exc.value.code == 0
+    assert "--oracle" in capsys.readouterr().out
 
 
 class TestMatrixAndSolve:

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from resgame import (
     ConfigError,
     ControlLaw,
+    ConvergenceError,
     Scenario,
     assemble,
     h2_closed_form,
@@ -163,6 +167,95 @@ class TestEnergyOracle:
         res = h2_energy_oracle(s)
         assert set(res.per_node) == {1, 3}
         assert res.value_sq == pytest.approx(sum(res.per_node.values()), abs=1e-12)
+
+
+def stepwise_oracle(s, horizon=None, steps=None):
+    """Reference for h2_energy_oracle: one propagator step per time step.
+
+    Same default grid, Simpson weights and tail term as the oracle, with
+    every sample stored and summed at the end, and no decay check.
+    Returns per-node values.
+    """
+    ss = assemble(s)
+    eigvals = np.linalg.eigvals(ss.a)
+    rate = float((-eigvals[np.abs(eigvals) > 1e-9].real).min())
+    if horizon is None:
+        horizon = 20.0 / rate
+    if steps is None:
+        steps = max(2000, int(np.ceil(horizon / 0.005)))
+    steps += steps % 2
+    dt = horizon / steps
+    propagator = scipy.linalg.expm(ss.a * dt)
+    n, f = s.graph.n, s.budget
+    x = ss.b2.copy()
+    samples = np.empty((steps + 1, f))
+    for step in range(steps + 1):
+        energy = (x[n:] * x[n:]).sum(axis=0)
+        samples[step] = energy[:f] + energy[f:]
+        x = propagator @ x
+    weights = np.ones(steps + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    values = (dt / 3.0) * weights @ samples + samples[-1] / (2.0 * rate)
+    return dict(zip(s.attack_set, values.tolist()))
+
+
+class TestBlockedOracle:
+    # 2, 254, 256 and 258 steps put the last sample before, on and after the
+    # edge of the first 256-step block; 2000 steps and the default grid span
+    # several blocks and end inside a partial one. The short horizon keeps
+    # the integrand at its end large enough (0.2% to 3.5% of its start) that
+    # a wrong weight or sample there shows; tail_tol lets it pass the
+    # decay check.
+    @pytest.mark.parametrize(
+        "steps", [2, 254, 256, 258, 2000, None],
+        ids=["2", "254", "256", "258", "2000", "default-grid"],
+    )
+    @pytest.mark.parametrize("f", [1, 2])
+    @pytest.mark.parametrize(
+        "law, defense",
+        [(ControlLaw.ABS_VELOCITY, ()), (ControlLaw.ABS_VELOCITY, (1,)),
+         (ControlLaw.REL_VELOCITY, (1,))],
+        ids=["law1-undefended", "law1-defended", "law2"],
+    )
+    def test_matches_stepwise_loop(self, law, defense, f, steps):
+        s = scenario(path_graph(3), law, 2.0, defense, (1,) if f == 1 else (0, 1))
+        if steps is None:
+            expected = stepwise_oracle(s)
+            res = h2_energy_oracle(s)
+        else:
+            expected = stepwise_oracle(s, 5.0, steps)
+            res = h2_energy_oracle(s, horizon=5.0, steps=steps, tail_tol=1.0)
+        assert res.per_node.keys() == expected.keys()
+        for node, value in expected.items():
+            assert res.per_node[node] == pytest.approx(value, rel=1e-12, abs=0)
+        assert res.value_sq == pytest.approx(sum(expected.values()), rel=1e-12, abs=0)
+
+    def test_short_horizon_raises(self):
+        s = scenario(path_graph(4), ControlLaw.ABS_VELOCITY, 1.0, (), (0,))
+        with pytest.raises(ConvergenceError, match="not decayed at horizon 0.5"):
+            h2_energy_oracle(s, horizon=0.5)
+
+    def test_memory_does_not_grow_with_steps(self):
+        # about 115k steps; storing every sample and its Simpson weight
+        # alone would take 1.8 MB
+        s = scenario(path_graph(8), ControlLaw.REL_VELOCITY, 1.0, (4,), (0,))
+        h2_energy_oracle(s)  # first call: library caches and lazy imports
+        tracemalloc.start()
+        try:
+            res = h2_energy_oracle(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics["steps"] > 100_000
+        assert peak < 1_000_000
+
+    def test_diagnostics(self):
+        s = scenario(path_graph(4), ControlLaw.REL_VELOCITY, 1.0, (1,), (0,))
+        diag = h2_energy_oracle(s, horizon=300.0, steps=40001).diagnostics
+        assert diag["horizon"] == 300.0 and diag["steps"] == 40002
+        assert 0 < diag["tail_fraction"] < 1e-8
+        assert h2_closed_form(s).diagnostics == {}
 
 
 class TestLyapunovResidual:
