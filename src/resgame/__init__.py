@@ -5,142 +5,45 @@ dynamics under two velocity-feedback laws, builds the zero-sum payoff
 matrix over node subsets, solves for pure Nash / defender-led Stackelberg
 equilibria, and exposes the graph- and resistance-centrality formulas
 that characterize the optimal strategies.
+
+The names below are the public workflow; everything else is imported
+from its module (for example `from resgame.graphcore import path_graph`).
 """
 
-from .dynamics import (
-    ControlLaw,
-    H2Result,
-    Scenario,
-    StateSpace,
-    assemble,
-    h2_closed_form,
-    h2_energy_oracle,
-    lyapunov_residual,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    EnumerationLimitError,
-    GraphError,
-)
+from .dynamics import ControlLaw, H2Result, Scenario, h2_closed_form, h2_energy_oracle
+from .errors import ConfigError, ConvergenceError, EnumerationLimitError, GraphError
 from .game import (
     EquilibriumReport,
     GameMatrix,
-    SubsetIndex,
     SweepRow,
     build_matrix,
-    find_nash,
-    nash_threshold,
-    payoff_j1,
-    payoff_j2,
     predict_equilibrium,
     solve,
-    stackelberg_defender_leader,
     sweep_gain,
 )
-from .graphcore import (
-    DegreeProfile,
-    Graph,
-    center,
-    complete_graph,
-    cycle_graph,
-    degree_profile,
-    degrees,
-    distances,
-    eccentricities,
-    laplacian,
-    path_graph,
-    star_graph,
-)
-from .resistance import (
-    GroundedSystem,
-    effective_center,
-    effective_eccentricities,
-    effective_eccentricity,
-    effective_resistance,
-    extended_graph,
-    grounded_inverse_diag,
-    laplacian_pinv,
-    resistance_matrix,
-)
-from .scenario_io import (
-    graph_to_json,
-    load_graph,
-    load_scenario,
-    parse_graph_json,
-    parse_graph_text,
-    read_json_report,
-    read_sweep_csv,
-    report_from_dict,
-    report_to_dict,
-    scenario_from_dict,
-    write_graph,
-    write_json_report,
-    write_matrix_csv,
-    write_sweep_csv,
-)
+from .graphcore import Graph
+from .scenario_io import load_graph, load_scenario
 
 __all__ = [
+    "Graph",
     "ControlLaw",
-    "H2Result",
     "Scenario",
-    "StateSpace",
-    "assemble",
+    "H2Result",
     "h2_closed_form",
     "h2_energy_oracle",
-    "lyapunov_residual",
+    "build_matrix",
+    "solve",
+    "predict_equilibrium",
+    "sweep_gain",
+    "GameMatrix",
+    "EquilibriumReport",
+    "SweepRow",
+    "load_graph",
+    "load_scenario",
     "ConfigError",
     "ConvergenceError",
     "EnumerationLimitError",
     "GraphError",
-    "EquilibriumReport",
-    "GameMatrix",
-    "SubsetIndex",
-    "SweepRow",
-    "build_matrix",
-    "find_nash",
-    "nash_threshold",
-    "payoff_j1",
-    "payoff_j2",
-    "predict_equilibrium",
-    "solve",
-    "stackelberg_defender_leader",
-    "sweep_gain",
-    "DegreeProfile",
-    "Graph",
-    "center",
-    "complete_graph",
-    "cycle_graph",
-    "degree_profile",
-    "degrees",
-    "distances",
-    "eccentricities",
-    "laplacian",
-    "path_graph",
-    "star_graph",
-    "GroundedSystem",
-    "effective_center",
-    "effective_eccentricities",
-    "effective_eccentricity",
-    "effective_resistance",
-    "extended_graph",
-    "grounded_inverse_diag",
-    "laplacian_pinv",
-    "resistance_matrix",
-    "graph_to_json",
-    "load_graph",
-    "load_scenario",
-    "parse_graph_json",
-    "parse_graph_text",
-    "read_json_report",
-    "read_sweep_csv",
-    "report_from_dict",
-    "report_to_dict",
-    "scenario_from_dict",
-    "write_graph",
-    "write_json_report",
-    "write_matrix_csv",
-    "write_sweep_csv",
 ]
 
 __version__ = "1.0.0"

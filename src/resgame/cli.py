@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -183,7 +182,7 @@ def cmd_matrix(args) -> int:
         "law": args.law,
         "gain": args.gain,
         "f": args.f,
-        "subsets": [list(s) for s in m.index.all_subsets()],
+        "subsets": [list(s) for s in m.index.subsets],
         "values": m.values.tolist(),
     }
     _emit_json(report, args.out)
@@ -248,11 +247,7 @@ def cmd_verify(args) -> int:
         "suites": results,
         "ok": ok,
     }
-    rendered = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(rendered + "\n")
-    else:
-        print(rendered)
+    _emit_json(report, args.out)
     return 0 if ok else 3
 
 

@@ -74,7 +74,6 @@ class StateSpace:
     """Drift and input/output matrices of the attacked dynamics."""
 
     a: np.ndarray
-    b1: np.ndarray
     b2: np.ndarray
     c: np.ndarray
 
@@ -123,11 +122,10 @@ def assemble(s: Scenario) -> StateSpace:
         lbar = lap + s.gain * dy
         lower = (-lbar, -lbar)
     a = np.block([[np.zeros((n, n)), np.eye(n)], [lower[0], lower[1]]])
-    b1 = np.vstack([np.zeros((n, n)), np.eye(n)])
     fmat = attack_input(n, s.attack_set)
     b2 = np.kron(np.eye(2), fmat)
     c = np.hstack([np.zeros((n, n)), np.eye(n)])
-    return StateSpace(a=a, b1=b1, b2=b2, c=c)
+    return StateSpace(a=a, b2=b2, c=c)
 
 
 def _law1_gramian(s: Scenario) -> tuple[np.ndarray, ...]:
@@ -182,6 +180,8 @@ def h2_closed_form(s: Scenario) -> H2Result:
 # time steps per propagator product in h2_energy_oracle; block sizes from
 # 128 to 4096 timed the same
 _BLOCK = 256
+# largest default time step of h2_energy_oracle (the grid has at least 2000)
+_MAX_DT = 0.005
 
 
 def _stable_decay_rate(a: np.ndarray) -> float:
@@ -198,32 +198,37 @@ def h2_energy_oracle(
     s: Scenario,
     horizon: float | None = None,
     steps: int | None = None,
-    max_dt: float = 0.005,
     tail_tol: float = 1e-8,
 ) -> H2Result:
     """Quadrature of the impulse-response output energy over [0, horizon].
 
     Integrates ||C exp(A t) B2||_F^2 with composite Simpson on a grid fine
-    enough for the fastest mode, then adds the analytic tail estimate from
-    the slowest decay rate. Independent of the closed-form route.
+    enough for the fastest mode (steps of at most _MAX_DT unless steps is
+    given), then adds the analytic tail estimate from the slowest decay
+    rate. Independent of the closed-form route.
 
     The states exp(A k dt) B2 are produced in blocks of _BLOCK time steps:
     the first block is built by doubling from the one-step propagator
     P = exp(A dt), and each later block is one product P^_BLOCK @ block.
     Each block's output energies are folded into the Simpson sum as soon as
     they are computed (weight 0 past the last step), so memory is
-    O(_BLOCK n f) whatever the step count. Raises ConvergenceError when the
-    integrand at the horizon has not decayed below tail_tol of its start.
+    O(_BLOCK n f) whatever the step count. Raises ConfigError for a
+    horizon <= 0 or steps < 1, and ConvergenceError when the integrand at
+    the horizon has not decayed below tail_tol of its start.
 
     The result's diagnostics hold the grid and the decay check: the decay
     rate, the horizon, the step count, and the tail fraction (integrand
     at the horizon over the integrand at 0).
     """
+    if horizon is not None and not horizon > 0:
+        raise ConfigError(f"oracle horizon must be positive, got {horizon}")
+    if steps is not None and steps < 1:
+        raise ConfigError(f"oracle steps must be >= 1, got {steps}")
     ss = assemble(s)
     rate = _stable_decay_rate(ss.a)
     horizon = 20.0 / rate if horizon is None else float(horizon)
     if steps is None:
-        steps = max(2000, int(np.ceil(horizon / max_dt)))
+        steps = max(2000, int(np.ceil(horizon / _MAX_DT)))
     if steps % 2:
         steps += 1
     dt = horizon / steps

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import ConfigError, EnumerationLimitError
 from .graphcore import Graph, degree_profile, degrees
 from .resistance import (
     GroundedSystem,
-    effective_eccentricities,
+    _near_minima,
     grounded_inverse_diag,
     resistance_matrix,
 )
@@ -30,18 +31,8 @@ DEFAULT_ENUM_CAP = 10_000
 ENUM_CAP_ENV = "RESGAME_ENUM_CAP"
 
 
-def _check_cap(index: SubsetIndex, cap: int | None) -> None:
-    if cap is None:
-        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
-    if index.size > cap:
-        raise EnumerationLimitError(
-            f"C({index.n},{index.f}) = {index.size} subsets exceeds the enumeration cap "
-            f"{cap} (override via {ENUM_CAP_ENV})"
-        )
-
-
 class SubsetIndex:
-    """Bijection between ranks and f-subsets of {0..n-1} in lexicographic order."""
+    """The f-subsets of {0..n-1} in lexicographic order; a subset's rank is its position."""
 
     def __init__(self, n: int, f: int):
         if not 1 <= f <= n:
@@ -50,37 +41,19 @@ class SubsetIndex:
         self.f = f
         self.size = math.comb(n, f)
 
-    def rank(self, subset) -> int:
-        nodes = sorted(int(i) for i in subset)
-        if len(nodes) != self.f:
-            raise ConfigError(f"subset {nodes} does not have size {self.f}")
-        r = 0
-        prev = -1
-        for pos, v in enumerate(nodes):
-            for u in range(prev + 1, v):
-                r += math.comb(self.n - 1 - u, self.f - pos - 1)
-            prev = v
-        return r
+    @cached_property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        """All subsets, enumerated on first use; EnumerationLimitError above the cap.
 
-    def unrank(self, r: int) -> tuple[int, ...]:
-        if not 0 <= r < self.size:
-            raise ConfigError(f"rank {r} out of range for {self.size} subsets")
-        nodes = []
-        start = 0
-        remaining = self.f
-        for _ in range(self.f):
-            for v in range(start, self.n):
-                block = math.comb(self.n - 1 - v, remaining - 1)
-                if r < block:
-                    nodes.append(v)
-                    start = v + 1
-                    remaining -= 1
-                    break
-                r -= block
-        return tuple(nodes)
-
-    def all_subsets(self) -> list[tuple[int, ...]]:
-        return list(combinations(range(self.n), self.f))
+        The cap is RESGAME_ENUM_CAP, or DEFAULT_ENUM_CAP when it is unset.
+        """
+        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+        if self.size > cap:
+            raise EnumerationLimitError(
+                f"C({self.n},{self.f}) = {self.size} subsets exceeds the enumeration cap "
+                f"{cap} (override via {ENUM_CAP_ENV})"
+            )
+        return tuple(combinations(range(self.n), self.f))
 
 
 @dataclass(frozen=True)
@@ -171,9 +144,7 @@ def closed_form_entry_j1(g: Graph, gain: float, attack_set, defense_set) -> floa
     )
 
 
-def build_matrix(
-    g: Graph, gain: float, f: int, law: ControlLaw, cap: int | None = None
-) -> GameMatrix:
+def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
     """Enumerate all C(n,f) x C(n,f) payoffs.
 
     Payoffs decompose as sums of per-attacked-node terms that depend only
@@ -182,8 +153,7 @@ def build_matrix(
     if gain <= 0:
         raise ConfigError(f"gain must be positive, got {gain}")
     index = SubsetIndex(g.n, f)
-    _check_cap(index, cap)
-    subsets = index.all_subsets()
+    subsets = index.subsets
     values = _payoff_rows(g, gain, law, subsets) @ _indicator(g.n, subsets).T
     if law is ControlLaw.REL_VELOCITY:
         values += 0.5 * f
@@ -226,8 +196,8 @@ def stackelberg_defender_leader(m: GameMatrix) -> EquilibriumReport:
     c = int(values[r].argmax())
     return EquilibriumReport(
         kind="stackelberg_defender_leader",
-        defender_set=m.index.unrank(r),
-        attacker_set=m.index.unrank(c),
+        defender_set=m.index.subsets[r],
+        attacker_set=m.index.subsets[c],
         value=float(values[r, c]),
     )
 
@@ -239,8 +209,8 @@ def solve(m: GameMatrix) -> EquilibriumReport:
         r, c, v = saddle
         return EquilibriumReport(
             kind="nash",
-            defender_set=m.index.unrank(r),
-            attacker_set=m.index.unrank(c),
+            defender_set=m.index.subsets[r],
+            attacker_set=m.index.subsets[c],
             value=v,
         )
     return stackelberg_defender_leader(m)
@@ -254,9 +224,7 @@ def _top_degree_nodes(d: np.ndarray, count: int, exclude=()) -> tuple[int, ...]:
     return tuple(sorted(order[:count]))
 
 
-def predict_equilibrium(
-    g: Graph, gain: float, f: int, law: ControlLaw, cap: int | None = None
-) -> EquilibriumReport:
+def predict_equilibrium(g: Graph, gain: float, f: int, law: ControlLaw) -> EquilibriumReport:
     """Closed-form equilibrium when a known hypothesis holds.
 
     Checks, in order: the degree-gap NE threshold and degree-leader result
@@ -318,10 +286,9 @@ def predict_equilibrium(
         return no_prediction
     # law 2
     if f == 1:
-        ecc = effective_eccentricities(g)
-        tie_set = np.flatnonzero(ecc <= ecc.min() + 1e-12)
-        v = int(tie_set[0])
         rmat = resistance_matrix(g)
+        ecc = rmat.max(axis=1)  # effective eccentricities
+        v = _near_minima(ecc)[0]  # the first node of the effective center
         attacker = int(rmat[v].argmax())
         on_tree = g.is_tree and g.has_unit_weights
         return EquilibriumReport(
@@ -332,8 +299,7 @@ def predict_equilibrium(
             theorem="tree-center" if on_tree else "effective-center",
             witness="graph center" if on_tree else "effective center",
         )
-    _check_cap(index, cap)
-    subsets = index.all_subsets()
+    subsets = index.subsets
     w = _payoff_rows(g, gain, law, subsets)
     rows = np.arange(len(subsets))
     # each row's f worst nodes (stable ties), summed in node order
@@ -359,9 +325,7 @@ class SweepRow:
     value: float
 
 
-def sweep_gain(
-    g: Graph, f: int, law: ControlLaw, kappa_grid, cap: int | None = None
-) -> list[SweepRow]:
+def sweep_gain(g: Graph, f: int, law: ControlLaw, kappa_grid) -> list[SweepRow]:
     """Solve the game on each gain of the grid; NE when present, else Stackelberg."""
     grid = [float(k) for k in kappa_grid]
     if not grid:
@@ -370,7 +334,7 @@ def sweep_gain(
         raise ConfigError("all grid gains must be positive")
     rows = []
     for kappa in grid:
-        report = solve(build_matrix(g, kappa, f, law, cap=cap))
+        report = solve(build_matrix(g, kappa, f, law))
         rows.append(
             SweepRow(
                 kappa=kappa,

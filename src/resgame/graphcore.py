@@ -8,7 +8,7 @@ weighted, so every downstream routine can assume a well-formed input.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,11 @@ Edge = tuple[int, int, float]
 class Graph:
     """Connected simple undirected graph with positive edge conductances.
 
-    Edges are stored as (i, j, w) with i < j. An optional name map keeps
-    external labels without affecting node indexing.
+    Edges are stored as (i, j, w) with i < j.
     """
 
     n: int
     edges: tuple[Edge, ...]
-    names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -58,8 +56,6 @@ class Graph:
             raise GraphError(
                 f"graph is disconnected; components: {[sorted(c) for c in comps]}"
             )
-        if self.names is not None and len(self.names) != self.n:
-            raise GraphError("name map length does not match node count")
 
     @property
     def is_tree(self) -> bool:
@@ -68,12 +64,6 @@ class Graph:
     @property
     def has_unit_weights(self) -> bool:
         return all(w == 1.0 for _, _, w in self.edges)
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            a[i, j] = a[j, i] = w
-        return a
 
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -84,7 +74,7 @@ class Graph:
 
     def with_edge(self, i: int, j: int, w: float = 1.0) -> "Graph":
         """New graph with one extra edge (graphs are immutable)."""
-        return Graph(self.n, self.edges + ((i, j, w),), names=self.names)
+        return Graph(self.n, self.edges + ((i, j, w),))
 
 
 @dataclass(frozen=True)

@@ -48,18 +48,17 @@ def effective_resistance(g: Graph, i: int, j: int) -> float:
     return float(pinv[i, i] + pinv[j, j] - 2.0 * pinv[i, j])
 
 
-def effective_eccentricity(g: Graph, v: int) -> float:
-    """Maximum effective resistance from v to any other node."""
-    return float(resistance_matrix(g)[v].max())
-
-
 def effective_eccentricities(g: Graph) -> np.ndarray:
     return resistance_matrix(g).max(axis=1)
 
 
 def effective_center(g: Graph) -> tuple[int, ...]:
     """Nodes of minimum effective eccentricity (resistance analogue of center)."""
-    ecc = effective_eccentricities(g)
+    return _near_minima(effective_eccentricities(g))
+
+
+def _near_minima(ecc: np.ndarray) -> tuple[int, ...]:
+    """Nodes whose eccentricity is within 1e-12 of the minimum (the tie rule)."""
     return tuple(int(i) for i in np.flatnonzero(ecc <= ecc.min() + 1e-12))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -42,18 +43,38 @@ def parse_graph_text(text: str) -> Graph:
     return Graph(max_node + 1, tuple(edges))
 
 
+def _convert(convert, value, field: str, error: type[ValueError]):
+    """convert(value), with a malformed value reported as `error` naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise error(f"bad value for {field}: {value!r}")
+
+
+def _list(value) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError
+    return value
+
+
+def _edge(e) -> tuple[int, int, float]:
+    """[i, j] (unit weight) or [i, j, w]."""
+    if len(_list(e)) not in (2, 3):
+        raise ValueError
+    return int(e[0]), int(e[1]), float(e[2]) if len(e) == 3 else 1.0
+
+
+def _nodes(value) -> tuple[int, ...]:
+    return tuple(int(i) for i in _list(value))
+
+
 def parse_graph_json(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")
-    edges = []
-    for e in obj["edges"]:
-        if len(e) == 2:
-            edges.append((int(e[0]), int(e[1]), 1.0))
-        elif len(e) == 3:
-            edges.append((int(e[0]), int(e[1]), float(e[2])))
-        else:
-            raise GraphError(f"bad edge entry {e!r}")
-    return Graph(int(obj["n"]), tuple(edges))
+    n = _convert(int, obj["n"], "'n'", GraphError)
+    entries = _convert(_list, obj["edges"], "'edges'", GraphError)
+    edges = tuple(_convert(_edge, e, "an 'edges' entry", GraphError) for e in entries)
+    return Graph(n, edges)
 
 
 def load_graph(path: str | Path) -> Graph:
@@ -72,19 +93,32 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
 
 
+@contextmanager
+def _open_out(path: str | Path):
+    """Text file opened for writing; an OSError becomes a ConfigError naming the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
+
+
 def write_graph(g: Graph, path: str | Path, fmt: str = "json") -> None:
-    path = Path(path)
     if fmt == "json":
-        path.write_text(json.dumps(graph_to_json(g)) + "\n")
+        text = json.dumps(graph_to_json(g)) + "\n"
     elif fmt == "text":
         lines = [f"{i} {j} {w!r}" for i, j, w in g.edges]
-        path.write_text("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
     else:
         raise ConfigError(f"unknown graph format {fmt!r}")
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def scenario_from_dict(obj: dict, base_dir: str | Path = ".") -> Scenario:
     """Build a scenario from config JSON; 'graph' may be a path or inline object."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"scenario config must be a JSON object, got {obj!r}")
     missing = [k for k in ("graph", "law", "gain", "attack") if k not in obj]
     if missing:
         raise ConfigError(f"scenario config missing keys: {missing}")
@@ -95,10 +129,10 @@ def scenario_from_dict(obj: dict, base_dir: str | Path = ".") -> Scenario:
         graph = parse_graph_json(graph_src)
     return Scenario(
         graph=graph,
-        law=ControlLaw.from_int(int(obj["law"])),
-        gain=float(obj["gain"]),
-        defense_set=tuple(int(i) for i in obj.get("defense", [])),
-        attack_set=tuple(int(i) for i in obj["attack"]),
+        law=ControlLaw.from_int(_convert(int, obj["law"], "'law'", ConfigError)),
+        gain=_convert(float, obj["gain"], "'gain'", ConfigError),
+        defense_set=_convert(_nodes, obj.get("defense", []), "'defense'", ConfigError),
+        attack_set=_convert(_nodes, obj["attack"], "'attack'", ConfigError),
     )
 
 
@@ -132,10 +166,9 @@ def report_from_dict(obj: dict) -> EquilibriumReport:
 
 
 def write_json_report(obj: dict, path: str | Path) -> None:
-    try:
-        Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write report to {path}: {exc}")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def read_json_report(path: str | Path) -> dict:
@@ -147,7 +180,7 @@ def _decode_subset(sub) -> str:
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_out(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["kappa", "defender", "attacker", "value", "kind"])
         for row in rows:
@@ -180,9 +213,9 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
 
 def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
     """Matrix CSV with subset ranks and decoded node lists as headers."""
-    subsets = m.index.all_subsets()
+    subsets = m.index.subsets
     headers = [f"{r}:{_decode_subset(sub)}" for r, sub in enumerate(subsets)]
-    with open(path, "w", newline="") as fh:
+    with _open_out(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["defender\\attacker"] + headers)
         for r, sub in enumerate(subsets):

@@ -16,27 +16,33 @@ import pytest
 from resgame import (
     ControlLaw,
     Graph,
+    Scenario,
     build_matrix,
+    h2_closed_form,
+    h2_energy_oracle,
+    predict_equilibrium,
+)
+from resgame.dynamics import lyapunov_residual
+from resgame.game import (
+    find_nash,
+    nash_threshold,
+    payoff_j1,
+    payoff_j2,
+    stackelberg_defender_leader,
+)
+from resgame.graphcore import (
     center,
     complete_graph,
     degree_profile,
     degrees,
-    effective_resistance,
-    find_nash,
-    grounded_inverse_diag,
-    GroundedSystem,
-    h2_closed_form,
-    h2_energy_oracle,
     laplacian,
-    lyapunov_residual,
-    nash_threshold,
     path_graph,
-    payoff_j1,
-    payoff_j2,
-    predict_equilibrium,
+)
+from resgame.resistance import (
+    GroundedSystem,
+    effective_resistance,
+    grounded_inverse_diag,
     resistance_matrix,
-    Scenario,
-    stackelberg_defender_leader,
 )
 
 from conftest import random_connected_graph
@@ -201,7 +207,7 @@ def test_criterion_08_center_defender():
         if tree_case:
             tie_set = set(center(g))
         else:
-            from resgame import effective_center
+            from resgame.resistance import effective_center
 
             tie_set = set(effective_center(g))
         if rep.defender_set[0] not in tie_set:

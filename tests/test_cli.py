@@ -116,6 +116,16 @@ class TestH2:
         assert code == 0
         assert by_flags == by_config
 
+    @pytest.mark.parametrize(
+        "field, value", [("law", "x"), ("gain", "abc"), ("attack", 1)]
+    )
+    def test_malformed_config_is_validation_error(self, capsys, tmp_path, p3, field, value):
+        cfg = tmp_path / "scenario.json"
+        scenario = {"graph": p3, "law": 2, "gain": 1.0, "defense": [1], "attack": [1]}
+        cfg.write_text(json.dumps({**scenario, field: value}))
+        assert main(["h2", "--config", str(cfg)]) == 1
+        assert f"bad value for '{field}'" in capsys.readouterr().err
+
     def test_missing_flags_is_validation_error(self, p3):
         assert main(["h2", "--graph", p3, "--law", "1"]) == 1
 
@@ -159,6 +169,20 @@ def test_help_exits_zero(capsys):
         main(["h2", "--help"])
     assert exc.value.code == 0
     assert "--oracle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["matrix", "--law", "1", "--gain", "0.5", "--f", "1", "--format", "csv"],
+     ["matrix", "--law", "1", "--gain", "0.5", "--f", "1"],
+     ["sweep", "--law", "1", "--f", "1", "--gains", "0.5", "--format", "csv"],
+     ["verify", "--trials", "1", "--nmax", "4"]],
+    ids=["matrix-csv", "matrix-json", "sweep-csv", "verify"],
+)
+def test_unwritable_out_is_validation_error(capsys, tmp_path, p3, argv):
+    graph = [] if argv[0] == "verify" else ["--graph", p3]
+    assert main(argv + graph + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}")
 
 
 class TestMatrixAndSolve:

@@ -9,15 +9,12 @@ from resgame import (
     ControlLaw,
     ConvergenceError,
     Scenario,
-    assemble,
     h2_closed_form,
     h2_energy_oracle,
-    laplacian,
-    lyapunov_residual,
-    path_graph,
-    payoff_j1,
-    star_graph,
 )
+from resgame.dynamics import assemble, lyapunov_residual
+from resgame.game import payoff_j1
+from resgame.graphcore import laplacian, path_graph, star_graph
 
 from conftest import random_connected_graph
 
@@ -235,6 +232,18 @@ class TestBlockedOracle:
         s = scenario(path_graph(4), ControlLaw.ABS_VELOCITY, 1.0, (), (0,))
         with pytest.raises(ConvergenceError, match="not decayed at horizon 0.5"):
             h2_energy_oracle(s, horizon=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"steps": 0}, "steps"), ({"steps": -4}, "steps"),
+         ({"horizon": 0.0}, "horizon"), ({"horizon": -1.0}, "horizon"),
+         ({"horizon": float("nan")}, "horizon")],
+        ids=["steps-0", "steps-negative", "horizon-0", "horizon-negative", "horizon-nan"],
+    )
+    def test_rejects_bad_grid(self, kwargs, match):
+        s = scenario(path_graph(3), ControlLaw.ABS_VELOCITY, 1.0, (), (1,))
+        with pytest.raises(ConfigError, match=match):
+            h2_energy_oracle(s, **kwargs)
 
     def test_memory_does_not_grow_with_steps(self):
         # about 115k steps; storing every sample and its Simpson weight

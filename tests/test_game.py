@@ -9,27 +9,34 @@ from resgame import (
     ControlLaw,
     EnumerationLimitError,
     Graph,
-    GroundedSystem,
-    SubsetIndex,
     build_matrix,
+    predict_equilibrium,
+    solve,
+    sweep_gain,
+)
+from resgame.game import (
+    ENUM_CAP_ENV,
+    SubsetIndex,
+    closed_form_entry_j1,
+    find_nash,
+    nash_threshold,
+    payoff_j1,
+    payoff_j2,
+    stackelberg_defender_leader,
+)
+from resgame.graphcore import (
     center,
     complete_graph,
     degree_profile,
     degrees,
-    effective_eccentricities,
-    find_nash,
-    grounded_inverse_diag,
-    nash_threshold,
     path_graph,
-    payoff_j1,
-    payoff_j2,
-    predict_equilibrium,
-    solve,
-    stackelberg_defender_leader,
     star_graph,
-    sweep_gain,
 )
-from resgame.game import ENUM_CAP_ENV, closed_form_entry_j1
+from resgame.resistance import (
+    GroundedSystem,
+    effective_eccentricities,
+    grounded_inverse_diag,
+)
 
 from conftest import random_connected_graph
 
@@ -38,18 +45,27 @@ LAW2 = ControlLaw.REL_VELOCITY
 
 
 class TestSubsetIndex:
-    def test_rank_unrank_roundtrip(self):
+    def test_every_subset_once_in_lexicographic_order(self):
         idx = SubsetIndex(7, 3)
         assert idx.size == math.comb(7, 3)
-        for r in range(idx.size):
-            sub = idx.unrank(r)
-            assert idx.rank(sub) == r
-        assert idx.all_subsets() == [idx.unrank(r) for r in range(idx.size)]
+        # reference: the 3-bit masks of 7 bits, decoded and sorted
+        masks = [m for m in range(2**7) if bin(m).count("1") == 3]
+        expected = sorted(tuple(i for i in range(7) if m >> i & 1) for m in masks)
+        assert list(idx.subsets) == expected
+        assert idx.subsets is idx.subsets  # enumerated once
 
     def test_lexicographic_order(self):
         idx = SubsetIndex(4, 2)
-        assert idx.unrank(0) == (0, 1)
-        assert idx.unrank(idx.size - 1) == (2, 3)
+        assert idx.subsets[0] == (0, 1)
+        assert idx.subsets[idx.size - 1] == (2, 3)
+
+    def test_size_without_enumerating(self, monkeypatch):
+        monkeypatch.setenv(ENUM_CAP_ENV, "10000")
+        idx = SubsetIndex(2000, 3)
+        assert idx.size == math.comb(2000, 3)
+        assert "subsets" not in vars(idx)
+        with pytest.raises(EnumerationLimitError, match="enumeration cap"):
+            idx.subsets
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ConfigError):
@@ -115,7 +131,7 @@ class TestBuildMatrix:
         g = random_connected_graph(rng, 5)
         for law, payoff in ((LAW1, payoff_j1), (LAW2, payoff_j2)):
             m = build_matrix(g, 1.3, 2, law)
-            subs = m.index.all_subsets()
+            subs = m.index.subsets
             for r in range(0, len(subs), 3):
                 for c in range(0, len(subs), 3):
                     assert m.values[r, c] == pytest.approx(
@@ -136,13 +152,21 @@ class TestBuildMatrix:
 
     def test_enumeration_cap(self, monkeypatch):
         g = complete_graph(10)
-        with pytest.raises(EnumerationLimitError):
-            build_matrix(g, 1.0, 5, LAW1, cap=100)
         monkeypatch.setenv(ENUM_CAP_ENV, "100")
         with pytest.raises(EnumerationLimitError):
             build_matrix(g, 1.0, 5, LAW1)
+        with pytest.raises(EnumerationLimitError):
+            sweep_gain(g, 5, LAW1, [1.0])
+        with pytest.raises(EnumerationLimitError):
+            predict_equilibrium(g, 1.0, 5, LAW2)
         monkeypatch.setenv(ENUM_CAP_ENV, "300")
         assert build_matrix(g, 1.0, 5, LAW1).values.shape == (252, 252)
+
+    def test_law1_prediction_needs_no_enumeration(self, monkeypatch):
+        monkeypatch.setenv(ENUM_CAP_ENV, "10")
+        pred = predict_equilibrium(path_graph(2000), 5.0, 3, LAW1)
+        assert pred.theorem == "top-degrees"
+        assert pred.defender_set == (1, 2, 3) and pred.attacker_set == (4, 5, 6)
 
 
 class TestNash:
@@ -286,7 +310,7 @@ class TestSolveAndPredict:
         for g in graphs:
             for f in (2, 3):
                 best = None
-                for sub in SubsetIndex(g.n, f).all_subsets():
+                for sub in SubsetIndex(g.n, f).subsets:
                     gdiag = grounded_inverse_diag(GroundedSystem(g, sub, 0.7))
                     nodes = tuple(sorted(np.argsort(-gdiag, kind="stable")[:f].tolist()))
                     worst = float(sum(gdiag[i] for i in nodes))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from resgame import (
-    Graph,
-    GraphError,
+from resgame import Graph, GraphError
+from resgame.graphcore import (
     center,
     complete_graph,
     cycle_graph,

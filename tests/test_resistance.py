@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
 
-from resgame import (
-    ConfigError,
-    Graph,
+from resgame import ConfigError, Graph
+from resgame.graphcore import complete_graph, distances, laplacian, path_graph
+from resgame.resistance import (
     GroundedSystem,
-    complete_graph,
-    distances,
     effective_center,
     effective_eccentricities,
     effective_resistance,
     extended_graph,
     grounded_inverse_diag,
-    laplacian,
     laplacian_pinv,
-    path_graph,
     resistance_matrix,
 )
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -8,18 +9,20 @@ from resgame import (
     EquilibriumReport,
     GraphError,
     build_matrix,
-    graph_to_json,
     load_graph,
     load_scenario,
+    sweep_gain,
+)
+from resgame.graphcore import path_graph
+from resgame.scenario_io import (
+    graph_to_json,
     parse_graph_json,
     parse_graph_text,
-    path_graph,
     read_json_report,
     read_sweep_csv,
     report_from_dict,
     report_to_dict,
     scenario_from_dict,
-    sweep_gain,
     write_graph,
     write_json_report,
     write_matrix_csv,
@@ -52,6 +55,20 @@ class TestGraphParsing:
     def test_json_rejects_missing_keys(self):
         with pytest.raises(GraphError, match="'n' and 'edges'"):
             parse_graph_json({"edges": []})
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [({"n": 2, "edges": [1]}, "an 'edges' entry: 1"),
+         ({"n": "two", "edges": [[0, 1]]}, "'n': 'two'"),
+         ({"n": 2, "edges": [["a", 1]]}, "an 'edges' entry: ['a', 1]"),
+         ({"n": 2, "edges": 5}, "'edges': 5"),
+         ({"n": 2, "edges": [[0, 1, 1.0, 2]]}, "an 'edges' entry")],
+        ids=["edge-not-a-list", "n-not-int", "edge-node-not-int", "edges-not-a-list",
+             "edge-too-long"],
+    )
+    def test_json_malformed_value_names_field(self, obj, field):
+        with pytest.raises(GraphError, match=re.escape(f"bad value for {field}")):
+            parse_graph_json(obj)
 
     def test_disconnected_input_is_rejected(self):
         with pytest.raises(GraphError, match="disconnected"):
@@ -101,9 +118,22 @@ class TestScenarioConfig:
         s = load_scenario(cfg)
         assert s.graph == path_graph(4) and s.defense_set == ()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("law", "x"), ("gain", "abc"), ("gain", None), ("attack", 1), ("defense", ["a"])],
+    )
+    def test_malformed_value_names_field(self, key, value):
+        obj = {"graph": {"n": 2, "edges": [[0, 1]]}, "law": 1, "gain": 1.0, "attack": [0]}
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            scenario_from_dict({**obj, key: value})
+
     def test_missing_keys_listed(self):
         with pytest.raises(ConfigError, match="gain"):
             scenario_from_dict({"graph": {"n": 2, "edges": [[0, 1]]}, "law": 1, "attack": [0]})
+
+    def test_rejects_non_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            scenario_from_dict(5)
 
 
 class TestReports:
