@@ -174,8 +174,6 @@ def cmd_matrix(args) -> int:
     graph = scenario_io.load_graph(args.graph)
     m = game.build_matrix(graph, args.gain, args.f, ControlLaw.from_int(args.law))
     if args.fmt == "csv":
-        if not args.out:
-            raise ConfigError("matrix --format csv requires --out PATH")
         scenario_io.write_matrix_csv(m, args.out)
         return 0
     report = {
@@ -191,9 +189,9 @@ def cmd_matrix(args) -> int:
 
 def cmd_solve(args) -> int:
     graph = scenario_io.load_graph(args.graph)
-    law = ControlLaw.from_int(args.law)
-    solved = game.solve(game.build_matrix(graph, args.gain, args.f, law))
-    predicted = game.predict_equilibrium(graph, args.gain, args.f, law)
+    m = game.build_matrix(graph, args.gain, args.f, ControlLaw.from_int(args.law))
+    solved = game.solve(m)
+    predicted = game.predict_equilibrium(m)
     report = scenario_io.report_to_dict(solved)
     report["prediction"] = scenario_io.report_to_dict(predicted)
     report["prediction_match"] = (
@@ -210,8 +208,6 @@ def cmd_sweep(args) -> int:
     gains = _parse_gains(args.gains)
     rows = game.sweep_gain(graph, args.f, ControlLaw.from_int(args.law), gains)
     if args.fmt == "csv":
-        if not args.out:
-            raise ConfigError("sweep --format csv requires --out PATH")
         scenario_io.write_sweep_csv(rows, args.out)
         return 0
     report = {
@@ -264,8 +260,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checked before any work, so a usage error never waits on a computation
+        if getattr(args, "fmt", None) == "csv" and not args.out:
+            raise ConfigError(f"{args.command} --format csv requires --out PATH")
         return _COMMANDS[args.command](args)
-    except (GraphError, ConfigError, FileNotFoundError) as exc:
+    except (GraphError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EnumerationLimitError, ConvergenceError, np.linalg.LinAlgError) as exc:

@@ -45,9 +45,14 @@ class SubsetIndex:
     def subsets(self) -> tuple[tuple[int, ...], ...]:
         """All subsets, enumerated on first use; EnumerationLimitError above the cap.
 
-        The cap is RESGAME_ENUM_CAP, or DEFAULT_ENUM_CAP when it is unset.
+        The cap is RESGAME_ENUM_CAP, or DEFAULT_ENUM_CAP when it is unset; a
+        value that is not an integer is a ConfigError.
         """
-        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+        raw = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}")
         if self.size > cap:
             raise EnumerationLimitError(
                 f"C({self.n},{self.f}) = {self.size} subsets exceeds the enumeration cap "
@@ -58,14 +63,33 @@ class SubsetIndex:
 
 @dataclass(frozen=True)
 class GameMatrix:
-    """Payoff matrix: rows = defender subsets, columns = attacker subsets."""
+    """One game: graph, control law, gain and the budget f of both players.
+
+    Rows are defender subsets and columns attacker subsets, both in the
+    lexicographic order of `index`. The per-node cost table `rows` and the
+    payoff matrix `values` are computed on first use, so the enumeration
+    cap is enforced there, not when the game is built. Use `build_matrix`,
+    which validates the inputs.
+    """
 
     graph: Graph
     law: ControlLaw
     gain: float
     f: int
     index: SubsetIndex
-    values: np.ndarray
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """W, one row per defender subset: rows[r, i] is what attacking node i costs."""
+        return _payoff_rows(self.graph, self.gain, self.law, self.index.subsets)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Payoffs: values[r, c] sums rows[r] over attacker subset c (plus f/2 for law 2)."""
+        values = self.rows @ _indicator(self.graph.n, self.index.subsets).T
+        if self.law is ControlLaw.REL_VELOCITY:
+            values += 0.5 * self.f  # in place: NumPy reuses the product's buffer
+        return values
 
 
 @dataclass(frozen=True)
@@ -131,33 +155,17 @@ def payoff_j2(g: Graph, gain: float, attack_set, defense_set) -> float:
     return 0.5 * len(list(attack_set)) + float(sum(w[i] for i in attack_set))
 
 
-def closed_form_entry_j1(g: Graph, gain: float, attack_set, defense_set) -> float:
-    """Law-1 matrix entry via the overlap decomposition (validation route)."""
-    d = degrees(g)
-    fset, dset = set(attack_set), set(defense_set)
-    inside = fset & dset
-    outside = fset - dset
-    gamma1 = len(inside)
-    gamma2 = len(outside)
-    return (sum(d[i] for i in inside) + gamma1) / (2.0 * gain + 2.0) + 0.5 * (
-        sum(d[i] for i in outside) + gamma2
-    )
-
-
 def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
-    """Enumerate all C(n,f) x C(n,f) payoffs.
+    """The game on g under `law` with the given gain and budget f.
 
-    Payoffs decompose as sums of per-attacked-node terms that depend only
-    on the defender row, so each row is one vector contraction.
+    The one place that validates a game's gain and f. Nothing is
+    enumerated or computed here: payoffs decompose as sums of
+    per-attacked-node terms that depend only on the defender row, and
+    GameMatrix computes that table and the matrix on first use.
     """
     if gain <= 0:
         raise ConfigError(f"gain must be positive, got {gain}")
-    index = SubsetIndex(g.n, f)
-    subsets = index.subsets
-    values = _payoff_rows(g, gain, law, subsets) @ _indicator(g.n, subsets).T
-    if law is ControlLaw.REL_VELOCITY:
-        values += 0.5 * f
-    return GameMatrix(graph=g, law=law, gain=gain, f=f, index=index, values=values)
+    return GameMatrix(graph=g, law=law, gain=gain, f=f, index=SubsetIndex(g.n, f))
 
 
 def find_nash(m: GameMatrix) -> tuple[int, int, float] | None:
@@ -224,24 +232,23 @@ def _top_degree_nodes(d: np.ndarray, count: int, exclude=()) -> tuple[int, ...]:
     return tuple(sorted(order[:count]))
 
 
-def predict_equilibrium(g: Graph, gain: float, f: int, law: ControlLaw) -> EquilibriumReport:
-    """Closed-form equilibrium when a known hypothesis holds.
+def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
+    """Closed-form equilibrium of the game m when a known hypothesis holds.
 
     Checks, in order: the degree-gap NE threshold and degree-leader result
     (law 1, f = 1), the top-degrees result for large gains (law 1, f > 1),
     the effective-center / tree-center result (law 2, f = 1), and the
     virtual-node resistance min-max (law 2, f > 1). Returns kind "none"
     when no hypothesis applies, signalling the matrix solver is needed.
-    The last reads the solver's own per-node payoff table, so it restates
-    the brute-force solution rather than predicting it independently.
+    Only the last enumerates subsets: it reads the game's own per-node
+    table `m.rows`, which the solver shares, so it restates the
+    brute-force solution rather than predicting it independently.
     """
-    if gain <= 0:
-        raise ConfigError(f"gain must be positive, got {gain}")
-    index = SubsetIndex(g.n, f)  # validates f against n
+    g, gain, f = m.graph, m.gain, m.f
     no_prediction = EquilibriumReport(
         kind="none", defender_set=(), attacker_set=(), value=None
     )
-    if law is ControlLaw.ABS_VELOCITY:
+    if m.law is ControlLaw.ABS_VELOCITY:
         if not g.has_unit_weights:
             return no_prediction
         d = degrees(g)
@@ -299,16 +306,15 @@ def predict_equilibrium(g: Graph, gain: float, f: int, law: ControlLaw) -> Equil
             theorem="tree-center" if on_tree else "effective-center",
             witness="graph center" if on_tree else "effective center",
         )
-    subsets = index.subsets
-    w = _payoff_rows(g, gain, law, subsets)
-    rows = np.arange(len(subsets))
+    w = m.rows
+    rows = np.arange(len(w))
     # each row's f worst nodes (stable ties), summed in node order
     top = np.sort(np.argsort(-w, axis=1, kind="stable")[:, :f], axis=1)
     worst = sum(w[rows, top[:, k]] for k in range(f))
     r = int(worst.argmin())
     return EquilibriumReport(
         kind="stackelberg_defender_leader",
-        defender_set=subsets[r],
+        defender_set=m.index.subsets[r],
         attacker_set=tuple(top[r].tolist()),
         value=0.5 * f + float(worst[r]),
         theorem="resistance-minimax",

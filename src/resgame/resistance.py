@@ -39,15 +39,6 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     return r
 
 
-def effective_resistance(g: Graph, i: int, j: int) -> float:
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise ConfigError(f"node pair ({i}, {j}) out of range for n={g.n}")
-    if i == j:
-        return 0.0
-    pinv = laplacian_pinv(g)
-    return float(pinv[i, i] + pinv[j, j] - 2.0 * pinv[i, j])
-
-
 def effective_eccentricities(g: Graph) -> np.ndarray:
     return resistance_matrix(g).max(axis=1)
 

@@ -79,7 +79,7 @@ def parse_graph_json(obj: dict) -> Graph:
 
 def load_graph(path: str | Path) -> Graph:
     path = Path(path)
-    text = path.read_text()
+    text = _read_text(path)
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
@@ -91,6 +91,14 @@ def load_graph(path: str | Path) -> Graph:
 
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
+
+
+def _read_text(path: Path) -> str:
+    """The file's text; an OSError becomes a ConfigError naming the path."""
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
 
 
 @contextmanager
@@ -139,7 +147,7 @@ def scenario_from_dict(obj: dict, base_dir: str | Path = ".") -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     return scenario_from_dict(obj, base_dir=path.parent)
@@ -152,27 +160,10 @@ def report_to_dict(report: EquilibriumReport) -> dict:
     return d
 
 
-def report_from_dict(obj: dict) -> EquilibriumReport:
-    return EquilibriumReport(
-        kind=obj["kind"],
-        defender_set=tuple(obj["defender_set"]),
-        attacker_set=tuple(obj["attacker_set"]),
-        value=obj["value"],
-        theorem=obj.get("theorem"),
-        witness=obj.get("witness"),
-        threshold=obj.get("threshold"),
-        gain_above_threshold=obj.get("gain_above_threshold"),
-    )
-
-
 def write_json_report(obj: dict, path: str | Path) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with _open_out(path) as fh:
         fh.write(text)
-
-
-def read_json_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def _decode_subset(sub) -> str:
@@ -193,22 +184,6 @@ def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
                     row.kind,
                 ]
             )
-
-
-def read_sweep_csv(path: str | Path) -> list[SweepRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                SweepRow(
-                    kappa=float(rec["kappa"]),
-                    kind=rec["kind"],
-                    defender_set=tuple(int(i) for i in rec["defender"].split("+")),
-                    attacker_set=tuple(int(i) for i in rec["attacker"].split("+")),
-                    value=float(rec["value"]),
-                )
-            )
-    return rows
 
 
 def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:

@@ -354,7 +354,7 @@ def check_center_predictions(rng, trials, nmax, fault=None):
         if n >= 4:
             m = game.build_matrix(g, kappa, 2, ControlLaw.REL_VELOCITY)
             rep = game.stackelberg_defender_leader(m)
-            pred = game.predict_equilibrium(g, kappa, 2, ControlLaw.REL_VELOCITY)
+            pred = game.predict_equilibrium(m)
             if abs(rep.value - pred.value) > 1e-9:
                 _fail("resistance-minimax-value", f"{rep.value} vs {pred.value}")
 

@@ -40,7 +40,6 @@ from resgame.graphcore import (
 )
 from resgame.resistance import (
     GroundedSystem,
-    effective_resistance,
     grounded_inverse_diag,
     resistance_matrix,
 )
@@ -175,8 +174,8 @@ def test_criterion_06_relative_velocity_no_saddle():
 
 def test_criterion_07_resistance_oracles():
     rng = np.random.default_rng(7)
-    ok = abs(effective_resistance(complete_graph(3), 0, 1) - 2.0 / 3.0) < 1e-12
-    ok = ok and abs(effective_resistance(path_graph(4), 0, 3) - 3.0) < 1e-12
+    ok = abs(resistance_matrix(complete_graph(3))[0, 1] - 2.0 / 3.0) < 1e-12
+    ok = ok and abs(resistance_matrix(path_graph(4))[0, 3] - 3.0) < 1e-12
     worst = 0.0
     for _ in range(100):
         g = random_connected_graph(rng, int(rng.integers(2, 9)), weighted=True)
@@ -200,7 +199,7 @@ def test_criterion_08_center_defender():
         g = random_connected_graph(rng, n, tree=tree_case)
         kappa = float(rng.choice([0.5, 1.0, 2.0]))
         rep = stackelberg_defender_leader(build_matrix(g, kappa, 1, LAW2))
-        pred = predict_equilibrium(g, kappa, 1, LAW2)
+        pred = predict_equilibrium(build_matrix(g, kappa, 1, LAW2))
         if abs(rep.value - pred.value) > 1e-9:
             ok, detail = False, f"value mismatch on trial {trial}"
             break
@@ -226,7 +225,7 @@ def test_criterion_09_top_degrees_value():
         g = random_connected_graph(rng, n)
         dmax = degree_profile(g).delta1
         kappa = 0.5 * (2.0 * dmax - 2.0) + float(rng.uniform(1e-6, 1.0))
-        pred = predict_equilibrium(g, kappa, 2, LAW1)
+        pred = predict_equilibrium(build_matrix(g, kappa, 2, LAW1))
         if pred.theorem != "top-degrees":
             continue
         done += 1

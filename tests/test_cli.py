@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import resgame
+from resgame import game
 from resgame.cli import main
 
 SRC = str(Path(resgame.__file__).resolve().parents[1])
@@ -185,6 +186,32 @@ def test_unwritable_out_is_validation_error(capsys, tmp_path, p3, argv):
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}")
 
 
+@pytest.mark.parametrize("argv", [["centrality", "--graph"], ["h2", "--config"]],
+                         ids=["graph", "config"])
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing"])
+def test_unreadable_input_is_validation_error(capsys, tmp_path, argv, missing):
+    # a directory, not a chmod-000 file, because root can read the latter
+    path = tmp_path / "none.json" if missing else tmp_path
+    assert main(argv + [str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+
+
+def test_malformed_enum_cap_is_validation_error(capsys, monkeypatch, p3):
+    monkeypatch.setenv("RESGAME_ENUM_CAP", "abc")
+    assert main(["solve", "--graph", p3, "--law", "1", "--gain", "1", "--f", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: RESGAME_ENUM_CAP") and "'abc'" in err
+
+
+@pytest.mark.parametrize("command", [["matrix", "--gain", "1"], ["sweep", "--gains", "1"]],
+                         ids=["matrix", "sweep"])
+def test_csv_without_out_fails_before_computing(capsys, monkeypatch, p3, command):
+    monkeypatch.setenv("RESGAME_ENUM_CAP", "1")  # any enumeration would exit 2
+    argv = command + ["--graph", p3, "--law", "1", "--f", "1", "--format", "csv"]
+    assert main(argv) == 1
+    assert "--format csv requires --out" in capsys.readouterr().err
+
+
 class TestMatrixAndSolve:
     def test_matrix_json(self, capsys, p3):
         code, rep = run_json(
@@ -226,6 +253,20 @@ class TestMatrixAndSolve:
         assert rep["kind"] == "stackelberg_defender_leader"
         assert rep["defender_set"] == [1]
         assert rep["value"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_law2_solve_factors_each_defender_row_once(self, capsys, monkeypatch,
+                                                       clique_plus_path):
+        # the solver and the resistance-minimax prediction share one table W
+        calls = []
+        factor = game.grounded_inverse_diag
+        monkeypatch.setattr(game, "grounded_inverse_diag",
+                            lambda gs: calls.append(gs.defense_set) or factor(gs))
+        code, rep = run_json(capsys, ["solve", "--graph", clique_plus_path, "--law", "2",
+                                      "--gain", "1", "--f", "2"])
+        assert code == 0
+        assert rep["prediction"]["theorem"] == "resistance-minimax"
+        assert rep["prediction_match"] is True
+        assert len(calls) == math.comb(11, 2) == len(set(calls))
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ from resgame import (
     ConfigError,
     ControlLaw,
     EnumerationLimitError,
+    GameMatrix,
     Graph,
     build_matrix,
     predict_equilibrium,
@@ -17,7 +18,6 @@ from resgame import (
 from resgame.game import (
     ENUM_CAP_ENV,
     SubsetIndex,
-    closed_form_entry_j1,
     find_nash,
     nash_threshold,
     payoff_j1,
@@ -42,6 +42,19 @@ from conftest import random_connected_graph
 
 LAW1 = ControlLaw.ABS_VELOCITY
 LAW2 = ControlLaw.REL_VELOCITY
+
+
+def closed_form_entry_j1(g: Graph, gain: float, attack_set, defense_set) -> float:
+    """Law-1 matrix entry via the overlap decomposition (reference route)."""
+    d = degrees(g)
+    fset, dset = set(attack_set), set(defense_set)
+    inside = fset & dset
+    outside = fset - dset
+    gamma1 = len(inside)
+    gamma2 = len(outside)
+    return (sum(d[i] for i in inside) + gamma1) / (2.0 * gain + 2.0) + 0.5 * (
+        sum(d[i] for i in outside) + gamma2
+    )
 
 
 class TestSubsetIndex:
@@ -153,20 +166,30 @@ class TestBuildMatrix:
     def test_enumeration_cap(self, monkeypatch):
         g = complete_graph(10)
         monkeypatch.setenv(ENUM_CAP_ENV, "100")
+        m = build_matrix(g, 1.0, 5, LAW1)  # builds lazily: nothing enumerated yet
         with pytest.raises(EnumerationLimitError):
-            build_matrix(g, 1.0, 5, LAW1)
+            m.values
+        with pytest.raises(EnumerationLimitError):
+            solve(m)
         with pytest.raises(EnumerationLimitError):
             sweep_gain(g, 5, LAW1, [1.0])
         with pytest.raises(EnumerationLimitError):
-            predict_equilibrium(g, 1.0, 5, LAW2)
+            predict_equilibrium(build_matrix(g, 1.0, 5, LAW2))
         monkeypatch.setenv(ENUM_CAP_ENV, "300")
         assert build_matrix(g, 1.0, 5, LAW1).values.shape == (252, 252)
 
     def test_law1_prediction_needs_no_enumeration(self, monkeypatch):
         monkeypatch.setenv(ENUM_CAP_ENV, "10")
-        pred = predict_equilibrium(path_graph(2000), 5.0, 3, LAW1)
+        pred = predict_equilibrium(build_matrix(path_graph(2000), 5.0, 3, LAW1))
         assert pred.theorem == "top-degrees"
         assert pred.defender_set == (1, 2, 3) and pred.attacker_set == (4, 5, 6)
+
+    def test_law2_single_budget_prediction_needs_no_enumeration(self, monkeypatch):
+        monkeypatch.setenv(ENUM_CAP_ENV, "10")
+        m = build_matrix(path_graph(41), 1.0, 1, LAW2)
+        pred = predict_equilibrium(m)
+        assert pred.theorem == "tree-center" and pred.defender_set == (20,)
+        assert "subsets" not in vars(m.index) and "rows" not in vars(m)
 
 
 class TestNash:
@@ -191,16 +214,14 @@ class TestNash:
     def test_lexicographic_tie_break(self):
         # constant matrix: every cell is a saddle; smallest (row, col) wins
         base = build_matrix(path_graph(3), 0.5, 1, LAW1)
-        from resgame import GameMatrix
-
         m = GameMatrix(
             graph=base.graph,
             law=base.law,
             gain=base.gain,
             f=base.f,
             index=base.index,
-            values=np.ones((3, 3)),
         )
+        vars(m)["values"] = np.ones((3, 3))
         assert find_nash(m) == (0, 0, 1.0)
 
     @staticmethod
@@ -231,7 +252,8 @@ class TestNash:
                 values[np.ix_(~rows, cols)] = np.maximum(values[np.ix_(~rows, cols)], v)
                 values[np.ix_(rows, cols)] = v
                 multi += rows.sum() * cols.sum() > 1
-            m = dataclasses.replace(base, values=values)
+            m = dataclasses.replace(base)
+            vars(m)["values"] = values
             assert find_nash(m) == self._first_saddle_by_scan(values)
         assert multi > 100
 
@@ -254,7 +276,7 @@ class TestSolveAndPredict:
         for _ in range(30):
             g = random_connected_graph(rng, int(rng.integers(3, 8)))
             kappa = float(rng.uniform(0.05, 2.5))
-            pred = predict_equilibrium(g, kappa, 1, LAW1)
+            pred = predict_equilibrium(build_matrix(g, kappa, 1, LAW1))
             rep = solve(build_matrix(g, kappa, 1, LAW1))
             if pred.kind == "nash":
                 assert rep.kind == "nash"
@@ -271,7 +293,7 @@ class TestSolveAndPredict:
                 continue
             prof = degree_profile(g)
             kappa = 0.5 * (f * prof.delta1 - 2.0) + 1.0
-            pred = predict_equilibrium(g, kappa, f, LAW1)
+            pred = predict_equilibrium(build_matrix(g, kappa, f, LAW1))
             assert pred.theorem == "top-degrees"
             rep = stackelberg_defender_leader(build_matrix(g, kappa, f, LAW1))
             assert rep.value == pytest.approx(pred.value, abs=1e-12)
@@ -282,13 +304,13 @@ class TestSolveAndPredict:
             n = int(rng.integers(3, 9))
             kappa = float(rng.choice([0.5, 1.0, 2.0]))
             tree = random_connected_graph(rng, n, tree=True)
-            pred = predict_equilibrium(tree, kappa, 1, LAW2)
+            pred = predict_equilibrium(build_matrix(tree, kappa, 1, LAW2))
             assert pred.theorem == "tree-center"
             assert pred.defender_set[0] in set(center(tree))
             rep = stackelberg_defender_leader(build_matrix(tree, kappa, 1, LAW2))
             assert rep.value == pytest.approx(pred.value, abs=1e-9)
             g = random_connected_graph(rng, n)
-            pred = predict_equilibrium(g, kappa, 1, LAW2)
+            pred = predict_equilibrium(build_matrix(g, kappa, 1, LAW2))
             ecc = effective_eccentricities(g)
             assert pred.value == pytest.approx(0.5 + 0.5 / kappa + 0.5 * ecc.min(), abs=1e-12)
             rep = stackelberg_defender_leader(build_matrix(g, kappa, 1, LAW2))
@@ -297,7 +319,7 @@ class TestSolveAndPredict:
     def test_prediction_law2_multi_budget(self, rng):
         for _ in range(5):
             g = random_connected_graph(rng, 6)
-            pred = predict_equilibrium(g, 1.0, 2, LAW2)
+            pred = predict_equilibrium(build_matrix(g, 1.0, 2, LAW2))
             assert pred.theorem == "resistance-minimax"
             rep = stackelberg_defender_leader(build_matrix(g, 1.0, 2, LAW2))
             assert rep.value == pytest.approx(pred.value, abs=1e-9)
@@ -316,13 +338,13 @@ class TestSolveAndPredict:
                     worst = float(sum(gdiag[i] for i in nodes))
                     if best is None or worst < best[0]:
                         best = (worst, sub, nodes)
-                pred = predict_equilibrium(g, 0.7, f, LAW2)
+                pred = predict_equilibrium(build_matrix(g, 0.7, f, LAW2))
                 assert (pred.defender_set, pred.attacker_set) == best[1:]
                 assert pred.value == 0.5 * f + 0.5 * best[0]
 
     def test_no_prediction_for_weighted_law1(self):
         g = Graph(3, ((0, 1, 2.0), (1, 2, 1.0)))
-        assert predict_equilibrium(g, 1.0, 1, LAW1).kind == "none"
+        assert predict_equilibrium(build_matrix(g, 1.0, 1, LAW1)).kind == "none"
 
 
 class TestSweep:

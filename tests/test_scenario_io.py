@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -8,6 +9,7 @@ from resgame import (
     ControlLaw,
     EquilibriumReport,
     GraphError,
+    SweepRow,
     build_matrix,
     load_graph,
     load_scenario,
@@ -18,9 +20,6 @@ from resgame.scenario_io import (
     graph_to_json,
     parse_graph_json,
     parse_graph_text,
-    read_json_report,
-    read_sweep_csv,
-    report_from_dict,
     report_to_dict,
     scenario_from_dict,
     write_graph,
@@ -149,13 +148,27 @@ class TestReports:
         )
         path = tmp_path / "report.json"
         write_json_report(report_to_dict(rep), path)
-        assert report_from_dict(read_json_report(path)) == rep
+        obj = json.loads(path.read_text())
+        obj["defender_set"] = tuple(obj["defender_set"])
+        obj["attacker_set"] = tuple(obj["attacker_set"])
+        assert EquilibriumReport(**obj) == rep
 
     def test_sweep_csv_round_trip(self, tmp_path):
         rows = sweep_gain(path_graph(3), 1, ControlLaw.ABS_VELOCITY, [0.25, 0.75])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
-        assert read_sweep_csv(path) == rows
+        with open(path, newline="") as fh:
+            read = [
+                SweepRow(
+                    kappa=float(rec["kappa"]),
+                    kind=rec["kind"],
+                    defender_set=tuple(int(i) for i in rec["defender"].split("+")),
+                    attacker_set=tuple(int(i) for i in rec["attacker"].split("+")),
+                    value=float(rec["value"]),
+                )
+                for rec in csv.DictReader(fh)
+            ]
+        assert read == rows
 
     def test_matrix_csv_headers(self, tmp_path):
         m = build_matrix(path_graph(3), 0.5, 1, ControlLaw.ABS_VELOCITY)
