@@ -9,6 +9,7 @@ suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -64,7 +65,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="resgame",
         description="Attacker-defender resilience games on networked dynamics.",

@@ -116,9 +116,10 @@ def _check_sets(g: Graph, attack_set, defense_set):
 
 
 def _indicator(n: int, defender_sets) -> np.ndarray:
+    """0/1 matrix with y[r, i] = 1 when node i is in defender_sets[r] (equal-size sets)."""
     y = np.zeros((len(defender_sets), n))
-    for r, sub in enumerate(defender_sets):
-        y[r, list(sub)] = 1.0
+    rows = np.arange(len(defender_sets))[:, None]
+    y[rows, np.array(defender_sets, dtype=np.intp)] = 1.0
     return y
 
 

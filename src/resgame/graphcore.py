@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,18 @@ class Graph:
         """New graph with one extra edge (graphs are immutable)."""
         return Graph(self.n, self.edges + ((i, j, w),))
 
+    @cached_property
+    def _laplacian(self) -> np.ndarray:
+        """The Laplacian, built once per graph and read-only; see `laplacian`."""
+        lap = np.zeros((self.n, self.n))
+        for i, j, w in self.edges:
+            lap[i, j] -= w
+            lap[j, i] -= w
+            lap[i, i] += w
+            lap[j, j] += w
+        lap.flags.writeable = False
+        return lap
+
 
 @dataclass(frozen=True)
 class DegreeProfile:
@@ -117,14 +130,12 @@ def _components(n: int, edges: tuple[Edge, ...]) -> list[set[int]]:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Weighted graph Laplacian; rows sum to zero (bit-exact for unit weights)."""
-    lap = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        lap[i, j] -= w
-        lap[j, i] -= w
-        lap[i, i] += w
-        lap[j, j] += w
-    return lap
+    """Weighted graph Laplacian; rows sum to zero (bit-exact for unit weights).
+
+    Built once per graph and cached on it; each call returns a fresh
+    writable copy, so callers may modify their own.
+    """
+    return g._laplacian.copy()
 
 
 def degrees(g: Graph) -> np.ndarray:

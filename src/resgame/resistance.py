@@ -17,6 +17,9 @@ import scipy.linalg
 from .errors import ConfigError, ConvergenceError
 from .graphcore import Graph, laplacian
 
+# The LAPACK routines behind scipy.linalg.cho_factor and cho_solve, fetched once.
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
 # Relative eigenvalue cutoff for the Laplacian pseudoinverse; a connected
 # graph has exactly one zero mode.
 _PINV_RCOND = 1e-12
@@ -80,12 +83,19 @@ class GroundedSystem:
 
 
 def grounded_inverse_diag(gs: GroundedSystem) -> np.ndarray:
-    """Diagonal of lbar^{-1}; entry i is the resistance from i to the virtual node."""
-    try:
-        factor = scipy.linalg.cho_factor(gs.lbar)
-        inv = scipy.linalg.cho_solve(factor, np.eye(gs.base.n))
-    except np.linalg.LinAlgError as exc:  # cannot occur for a valid system
-        raise ConvergenceError(f"grounded Laplacian factorization failed: {exc}")
+    """Diagonal of lbar^{-1}; entry i is the resistance from i to the virtual node.
+
+    Calls LAPACK potrf/potrs directly with cho_factor/cho_solve's flags
+    (upper factor, identity right-hand side, lbar not overwritten), so the
+    result is bit-identical to theirs without their per-call finite and
+    shape checks: a validated GroundedSystem is finite and square.
+    """
+    factor, info = _POTRF(gs.lbar, lower=False, overwrite_a=False, clean=False)
+    if info != 0:  # cannot occur for a valid system
+        raise ConvergenceError(
+            f"grounded Laplacian factorization failed: LAPACK potrf info={info}"
+        )
+    inv, _ = _POTRS(factor, np.eye(gs.base.n), lower=False, overwrite_b=False)
     return np.diag(inv).copy()
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import resgame
 from resgame import game
-from resgame.cli import main
+from resgame.cli import build_parser, main
 
 SRC = str(Path(resgame.__file__).resolve().parents[1])
 
@@ -163,6 +163,35 @@ def test_usage_errors_exit_as_validation_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _run_captured(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def test_reused_parser_matches_fresh_parsers(capsys, clique_plus_path):
+    # main reuses one cached parser; successive calls must behave like calls
+    # that each build a fresh one
+    calls = [
+        ["solve", "--law", "2", "--gain", "1", "--f", "2", "--graph", clique_plus_path],
+        ["solve", "--law", "3", "--gain", "1", "--f", "2", "--graph", clique_plus_path],
+        ["sweep", "--law", "1", "--f", "1", "--gains", "0.2,2", "--graph", clique_plus_path],
+    ]
+    build_parser.cache_clear()
+    reused = [_run_captured(capsys, argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_run_captured(capsys, argv))
+    assert [code for code, _, _ in reused] == [0, 1, 0]
+    assert reused == fresh
+    assert reused[1][2].startswith(b"usage: resgame solve")
 
 
 def test_help_exits_zero(capsys):

@@ -18,6 +18,7 @@ from resgame import (
 from resgame.game import (
     ENUM_CAP_ENV,
     SubsetIndex,
+    _indicator,
     find_nash,
     nash_threshold,
     payoff_j1,
@@ -133,6 +134,15 @@ class TestPayoffs:
 
 
 class TestBuildMatrix:
+    @pytest.mark.parametrize("n, f", [(1, 1), (5, 1), (6, 2), (7, 3), (8, 8)])
+    def test_indicator_equals_loop(self, n, f):
+        subs = SubsetIndex(n, f).subsets
+        expected = np.zeros((len(subs), n))
+        for r, sub in enumerate(subs):
+            for i in sub:
+                expected[r, i] = 1.0
+        assert np.array_equal(_indicator(n, subs), expected)
+
     def test_p3_single_budget_matrix(self):
         m = build_matrix(path_graph(3), 0.5, 1, LAW1)
         expected = 0.5 * np.array(

@@ -75,6 +75,29 @@ class TestLaplacian:
         g = random_connected_graph(rng, 6, weighted=True)
         assert np.allclose(degrees(g), np.diag(laplacian(g)))
 
+    def test_cached_laplacian_equals_edge_loop(self, rng):
+        for n in (2, 5, 12, 30, 50):
+            g = random_connected_graph(rng, n, weighted=True)
+            expected = np.zeros((n, n))
+            for i, j, w in g.edges:
+                expected[i, j] -= w
+                expected[j, i] -= w
+                expected[i, i] += w
+                expected[j, j] += w
+            assert np.array_equal(laplacian(g), expected)
+            assert np.array_equal(laplacian(g), expected)  # served from the cache
+
+    def test_returns_a_writable_copy(self, rng):
+        g = random_connected_graph(rng, 8, weighted=True)
+        lap = laplacian(g)
+        before = lap.copy()
+        assert lap.flags.writeable
+        lap[0, 0] += 1.0
+        lap[:, 1] = 0.0
+        again = laplacian(g)
+        assert np.array_equal(again, before)
+        assert again is not lap
+
 
 class TestDegreeProfile:
     def test_unique_max(self):

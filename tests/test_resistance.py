@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from resgame import ConfigError, Graph
+from resgame import ConfigError, ConvergenceError, Graph
 from resgame.graphcore import complete_graph, distances, laplacian, path_graph
 from resgame.resistance import (
     GroundedSystem,
@@ -85,6 +86,27 @@ class TestGroundedSystem:
         gs = GroundedSystem(g, (0, 3), 1.5)
         direct = np.diag(np.linalg.inv(gs.lbar))
         assert np.abs(grounded_inverse_diag(gs) - direct).max() < 1e-10
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_to_scipy_cholesky(self, rng, weighted):
+        for n in (2, 3, 7, 16, 33, 50):
+            g = random_connected_graph(rng, n, weighted=weighted)
+            size = int(rng.integers(1, n + 1))
+            dset = tuple(int(i) for i in rng.choice(n, size, replace=False))
+            for kappa in (0.3, 1.0, 4.0):
+                gs = GroundedSystem(g, dset, kappa)
+                lbar = gs.lbar.copy()
+                expected = np.diag(cho_solve(cho_factor(lbar), np.eye(n)))
+                assert np.array_equal(grounded_inverse_diag(gs), expected)
+                assert np.array_equal(gs.lbar, lbar)  # lbar is not overwritten
+
+    def test_indefinite_system_is_convergence_error(self):
+        gs = GroundedSystem(path_graph(4), (0,), 1.0)
+        lbar = gs.lbar.copy()
+        lbar[2, 2] = -5.0
+        object.__setattr__(gs, "lbar", lbar)
+        with pytest.raises(ConvergenceError, match="factorization failed"):
+            grounded_inverse_diag(gs)
 
     def test_equals_virtual_node_resistance(self, rng):
         # the grounded inverse diagonal reads off resistances to a virtual
