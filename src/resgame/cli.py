@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -40,10 +39,12 @@ def _parse_gains(text: str) -> list[float]:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
+    """The report as JSON to `out`, or else to stdout; the same bytes either way."""
     if out:
         scenario_io.write_json_report(obj, out)
     else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        sys.stdout.writelines(scenario_io.json_pieces(obj))
+        sys.stdout.write("\n")
 
 
 def _add_common(parser: argparse.ArgumentParser, graph_required=True, csv=False) -> None:
@@ -184,7 +185,7 @@ def cmd_matrix(args) -> int:
         "gain": args.gain,
         "f": args.f,
         "subsets": [list(s) for s in m.index.subsets],
-        "values": m.values.tolist(),
+        "values": m.values,
     }
     _emit_json(report, args.out)
     return 0

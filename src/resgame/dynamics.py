@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, ConvergenceError
-from .graphcore import Graph, laplacian
+from .graphcore import Graph, laplacian, positive_finite
 from .resistance import GroundedSystem, grounded_inverse_diag
 
 
@@ -50,8 +50,8 @@ class Scenario:
         object.__setattr__(self, "defense_set", dset)
         object.__setattr__(self, "attack_set", aset)
         problems = []
-        if self.gain <= 0:
-            problems.append(f"gain must be positive, got {self.gain}")
+        if not positive_finite(self.gain):
+            problems.append(f"gain must be positive and finite, got {self.gain}")
         if not aset:
             problems.append("attack set must be nonempty")
         if len(set(dset)) != len(dset) or len(set(aset)) != len(aset):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import ControlLaw
 from .errors import ConfigError, EnumerationLimitError
-from .graphcore import Graph, degree_profile, degrees
+from .graphcore import Graph, degree_profile, degrees, positive_finite
 from .resistance import (
     GroundedSystem,
     _near_minima,
@@ -164,8 +164,8 @@ def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
     per-attacked-node terms that depend only on the defender row, and
     GameMatrix computes that table and the matrix on first use.
     """
-    if gain <= 0:
-        raise ConfigError(f"gain must be positive, got {gain}")
+    if not positive_finite(gain):
+        raise ConfigError(f"gain must be positive and finite, got {gain}")
     return GameMatrix(graph=g, law=law, gain=gain, f=f, index=SubsetIndex(g.n, f))
 
 
@@ -337,8 +337,8 @@ def sweep_gain(g: Graph, f: int, law: ControlLaw, kappa_grid) -> list[SweepRow]:
     grid = [float(k) for k in kappa_grid]
     if not grid:
         raise ConfigError("gain grid must be nonempty")
-    if any(k <= 0 for k in grid):
-        raise ConfigError("all grid gains must be positive")
+    if not all(map(positive_finite, grid)):
+        raise ConfigError("all grid gains must be positive and finite")
     rows = []
     for kappa in grid:
         report = solve(build_matrix(g, kappa, f, law))

@@ -7,6 +7,7 @@ weighted, so every downstream routine can assume a well-formed input.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,6 +17,11 @@ import numpy as np
 from .errors import GraphError
 
 Edge = tuple[int, int, float]
+
+
+def positive_finite(x: float) -> bool:
+    """The one rule for edge weights and gains: false for 0, negatives, nan and +-inf."""
+    return 0.0 < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,8 @@ class Graph:
                 i, j = j, i
             if (i, j) in seen:
                 raise GraphError(f"duplicate edge ({i}, {j})")
-            if w <= 0:
-                raise GraphError(f"edge ({i}, {j}) has non-positive weight {w}")
+            if not positive_finite(w):
+                raise GraphError(f"edge ({i}, {j}) has non-positive or non-finite weight {w}")
             seen.add((i, j))
             norm.append((i, j, w))
         object.__setattr__(self, "edges", tuple(sorted(norm)))

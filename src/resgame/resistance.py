@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, ConvergenceError
-from .graphcore import Graph, laplacian
+from .graphcore import Graph, laplacian, positive_finite
 
 # The LAPACK routines behind scipy.linalg.cho_factor and cho_solve, fetched once.
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
@@ -73,8 +73,8 @@ class GroundedSystem:
             raise ConfigError(f"duplicate nodes in defense set {dset}")
         if any(not 0 <= i < self.base.n for i in dset):
             raise ConfigError(f"defense set {dset} out of range for n={self.base.n}")
-        if self.gain <= 0:
-            raise ConfigError(f"gain must be positive, got {self.gain}")
+        if not positive_finite(self.gain):
+            raise ConfigError(f"gain must be positive and finite, got {self.gain}")
         object.__setattr__(self, "defense_set", dset)
         lbar = laplacian(self.base)
         for i in dset:

@@ -4,6 +4,10 @@ Graphs load from edge-list text ("i j [w]" lines, '#' comments) or JSON
 ({"n": int, "edges": [[i, j], [i, j, w], ...]}); both round-trip through
 the matching writers. JSON is the canonical report format; CSV is used
 for game matrices and gain sweeps. See docs/formats.md.
+
+Reports are rendered by `json_pieces`, whose pieces join to the text of
+json.dumps(obj, indent=2, sort_keys=True); a payoff matrix goes in as
+its ndarray and is written one row at a time, in JSON and in CSV.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from .dynamics import ControlLaw, Scenario
 from .errors import ConfigError, GraphError
@@ -160,10 +166,83 @@ def report_to_dict(report: EquilibriumReport) -> dict:
     return d
 
 
+def _dumps(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) placed at the indent of `pad`.
+
+    Exact because json escapes newlines inside strings: every raw newline
+    of its output is layout.
+    """
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _holds_matrix(obj) -> bool:
+    if isinstance(obj, np.ndarray):
+        return obj.ndim == 2
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(map(_holds_matrix, obj))
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: str, or a scalar converted to its JSON text."""
+    if not isinstance(k, (str, int, float, type(None))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return json.dumps(k if isinstance(k, str) else json.dumps(k))
+
+
+def _matrix_row(row: np.ndarray, pad: str) -> str:
+    """One matrix row as json writes row.tolist() at the indent of `pad`."""
+    values = row.tolist()
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    sep = "," + inner
+    try:
+        text = sep.join(map(float.__repr__, values))
+    except TypeError:  # a value that is not a float
+        text = "n"
+    if "n" in text:  # only the reprs of nan and inf hold an "n"
+        text = sep.join(_dumps(v, inner) for v in values)
+    return "[" + inner + text + pad + "]"
+
+
+def json_pieces(obj, pad: str = "\n"):
+    """The text of json.dumps(obj, indent=2, sort_keys=True), in pieces.
+
+    A 2-D ndarray is written as its .tolist() would be, one row per piece,
+    so a report holding an N x N matrix needs O(N) memory beyond the array.
+    Subtrees that hold no 2-D array are rendered by json.dumps whole.
+    """
+    if not _holds_matrix(obj):
+        yield _dumps(obj, pad)
+        return
+    if isinstance(obj, dict):
+        opener, closer = "{", "}"
+        items = [(_key(k) + ": ", v) for k, v in sorted(obj.items())]
+    else:
+        opener, closer = "[", "]"
+        items = [("", v) for v in obj]
+    if not items:  # a 2-D array with no rows
+        yield opener + closer
+        return
+    inner = pad + "  "
+    yield opener
+    for i, (head, value) in enumerate(items):
+        yield ("," if i else "") + inner + head
+        if isinstance(obj, np.ndarray):
+            yield _matrix_row(value, inner)
+        else:
+            yield from json_pieces(value, inner)
+    yield pad + closer
+
+
 def write_json_report(obj: dict, path: str | Path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The report as json.dumps(obj, indent=2, sort_keys=True) plus a newline, streamed."""
     with _open_out(path) as fh:
-        fh.write(text)
+        fh.writelines(json_pieces(obj))
+        fh.write("\n")
 
 
 def _decode_subset(sub) -> str:
@@ -193,5 +272,5 @@ def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
     with _open_out(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["defender\\attacker"] + headers)
-        for r, sub in enumerate(subsets):
-            writer.writerow([headers[r]] + [repr(float(v)) for v in m.values[r]])
+        for head, row in zip(headers, m.values):
+            writer.writerow([head, *map(repr, row.tolist())])

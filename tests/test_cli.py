@@ -11,6 +11,8 @@ import resgame
 from resgame import game
 from resgame.cli import build_parser, main
 
+from test_golden import CASES, GOLDEN, GRAPHS
+
 SRC = str(Path(resgame.__file__).resolve().parents[1])
 
 
@@ -320,6 +322,64 @@ class TestSweep:
     def test_bad_gain_is_validation_error(self, p3):
         assert main(["sweep", "--graph", p3, "--law", "1", "--f", "1",
                      "--gains", "0.5,-1"]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--law", "1", "--f", "1", "--gain={}"],
+     ["matrix", "--law", "1", "--f", "1", "--gain={}"],
+     ["h2", "--law", "1", "--defense", "0", "--attack", "0", "--gain={}"],
+     ["sweep", "--law", "1", "--f", "1", "--gains=1,{}"]],
+    ids=["solve", "matrix", "h2", "sweep"],
+)
+def test_non_finite_gain_is_validation_error(capsys, tmp_path, p3, argv, value):
+    out = tmp_path / "out.json"
+    argv = argv[:-1] + [argv[-1].format(value), "--graph", p3, "--out", str(out)]
+    assert main(argv) == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["centrality"], ["solve", "--law", "2", "--gain", "1", "--f", "1"]],
+    ids=["centrality", "solve"],
+)
+def test_non_finite_weight_is_validation_error(capsys, tmp_path, command, value):
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"0 1 {value}\n1 2\n")
+    assert main(command + ["--graph", str(graph)]) == 1
+    assert f"non-finite weight {float(value)}" in capsys.readouterr().err
+
+
+# one report per command; each must write the same bytes to stdout as to --out
+SAME_BYTES = {
+    "centrality": ["centrality"],
+    "h2": ["h2", "--law", "2", "--gain", "1", "--defense", "1", "--attack", "0,2", "--oracle"],
+    "matrix": ["matrix", "--law", "2", "--gain", "0.5", "--f", "2"],
+    "solve": ["solve", "--law", "2", "--gain", "0.5", "--f", "2"],
+    "sweep": ["sweep", "--law", "1", "--f", "1", "--gains", "0.25,0.5,1"],
+}
+
+
+@pytest.mark.parametrize("command", SAME_BYTES)
+def test_stdout_matches_out_file(capsys, tmp_path, clique_plus_path, command):
+    argv = SAME_BYTES[command] + ["--graph", clique_plus_path]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert printed.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["matrix-law1-f1.json", "matrix-law2-f2.json"])
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_matrix_stdout_matches_golden(capsys, graph, case):
+    assert main([*CASES[case], "--graph", str(GOLDEN / graph)]) == 0
+    golden = GOLDEN / f"{Path(graph).stem}-{case}"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 class TestVerify:

@@ -1,8 +1,13 @@
 import csv
 import json
 import re
+import tracemalloc
 
+import hypothesis.extra.numpy as hnp
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resgame import (
     ConfigError,
@@ -18,6 +23,7 @@ from resgame import (
 from resgame.graphcore import path_graph
 from resgame.scenario_io import (
     graph_to_json,
+    json_pieces,
     parse_graph_json,
     parse_graph_text,
     report_to_dict,
@@ -184,3 +190,63 @@ class TestReports:
     def test_write_report_bad_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot write"):
             write_json_report({}, tmp_path / "nope" / "deep" / "report.json")
+
+
+def _tolist(obj):
+    """obj with every ndarray replaced by its .tolist(), as json.dumps needs it."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _tolist(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_tolist(v) for v in obj]
+    return obj
+
+
+_FLOATS = st.floats() | st.floats(allow_subnormal=True, max_value=1e-308, min_value=-1e-308)
+_MATRICES = hnp.arrays(
+    dtype=hnp.floating_dtypes(sizes=(32, 64)) | hnp.integer_dtypes() | hnp.boolean_dtypes(),
+    shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4),
+)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _FLOATS
+    | _FLOATS.map(np.float64) | st.text() | _MATRICES
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.text(), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestJsonRenderer:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(_TREES)
+    @example({"values": np.array([[np.nan, 1.0], [np.inf, -np.inf]]), "f": 2})
+    @example({"values": np.array([[-0.0, 5e-324], [1e-310, 0.1]])})
+    @example({"empty": np.zeros((0, 3)), "rows": np.zeros((2, 0)), "list": [], "dict": {}})
+    @example({10: np.eye(2), 2: None, -1: [np.eye(1)]})
+    @example({True: np.eye(1)})
+    @example([1, 2.5, True, None, "a\n\"b\" \u00e9\u2603", np.float64(0.1)])
+    def test_matches_json_dumps(self, tree):
+        expected = json.dumps(_tolist(tree), indent=2, sort_keys=True)
+        assert "".join(json_pieces(tree)) == expected
+
+    def test_matrix_report_streams_rows(self, tmp_path):
+        values = np.random.default_rng(0).random((600, 600))
+        report = {"law": 1, "gain": 0.5, "f": 1, "subsets": [[i] for i in range(600)],
+                  "values": values}
+        path = tmp_path / "matrix.json"
+        tracemalloc.start()
+        try:
+            write_json_report(report, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the 2.9 MB array: one row's floats and text, not the 7 MB report
+        assert peak < 1_000_000
+        assert json.loads(path.read_text())["values"] == values.tolist()
