@@ -184,7 +184,7 @@ def cmd_matrix(args) -> int:
         "law": args.law,
         "gain": args.gain,
         "f": args.f,
-        "subsets": [list(s) for s in m.index.subsets],
+        "subsets": m.index.subsets.tolist(),
         "values": m.values,
     }
     _emit_json(report, args.out)

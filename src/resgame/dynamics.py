@@ -128,14 +128,23 @@ def assemble(s: Scenario) -> StateSpace:
     return StateSpace(a=a, b2=b2, c=c)
 
 
-def _law1_gramian(s: Scenario) -> tuple[np.ndarray, ...]:
-    """Law-1 model with the consensus mode deflated, and its observability Gramian.
+# Largest Lyapunov residual (see lyapunov_residual) at which the law-1
+# closed form is returned. On the defended 3-path the residual is 1e-8 at
+# gain 1e8, where H2^2 is right to 2e-9, and 1.7e-6, 1.6e-4, 0.72 and 1.0
+# at gains 1e10, 1e12, 1e16 and 1e300, where it is off by 1.8e-7, 2e-5,
+# 0.52 and a sign.
+_LYAPUNOV_TOL = 1e-6
+
+
+def _law1_gramian(s: Scenario) -> tuple[np.ndarray, np.ndarray, float]:
+    """Law-1 model with the consensus mode deflated: its Gramian and residual.
 
     The rigid position direction 1 is a marginal mode the velocity output
     cannot see. With U an orthonormal basis of the complement of 1 and
     positions replaced by z = U^T x, the drift becomes the Hurwitz matrix
     A_r = [[0, U^T], [-L U, -H]] with output C_r = [0, I], and Q solves
-    A_r^T Q + Q A_r + C_r^T C_r = 0. Returns (U, A_r, C_r^T C_r, Q).
+    A_r^T Q + Q A_r + C_r^T C_r = 0. Returns (U, Q, residual), the
+    residual being the max entry of |A_r^T Q + Q A_r + C_r^T C_r|.
     """
     n = s.graph.n
     u = scipy.linalg.null_space(np.ones((1, n)))
@@ -143,7 +152,8 @@ def _law1_gramian(s: Scenario) -> tuple[np.ndarray, ...]:
     a_r = np.block([[np.zeros((n - 1, n - 1)), u.T], [-laplacian(s.graph) @ u, -h]])
     ctc = np.diag(np.concatenate([np.zeros(n - 1), np.ones(n)]))
     q = scipy.linalg.solve_continuous_lyapunov(a_r.T, -ctc)
-    return u, a_r, ctc, q
+    residual = float(np.abs(a_r.T @ q + q @ a_r + ctc).max())
+    return u, q, residual
 
 
 def h2_closed_form(s: Scenario) -> H2Result:
@@ -154,10 +164,19 @@ def h2_closed_form(s: Scenario) -> H2Result:
     (U^T e_i)^T Q_zz (U^T e_i) + Q_vv[i, i]. Under uniform damping (no node
     or every node defended) this equals the paper's damped-degree formula
     (d_i + 1) / (2 (1 + gain * y_i)), which the law-1 game payoff keeps.
+    Raises ConvergenceError when the Lyapunov residual exceeds
+    _LYAPUNOV_TOL (1e-6), as it does on the defended 3-path from gain 1e10
+    on, where the solve loses the value.
     Law 2: f/2 plus half the grounded-inverse diagonal at attacked nodes.
+    Either law raises ConvergenceError for a negative value.
     """
     if s.law is ControlLaw.ABS_VELOCITY:
-        u, _, _, q = _law1_gramian(s)
+        u, q, residual = _law1_gramian(s)
+        if residual > _LYAPUNOV_TOL:
+            raise ConvergenceError(
+                f"law-1 Lyapunov solve is inaccurate at gain {s.gain:g}: "
+                f"residual {residual:.3g} exceeds {_LYAPUNOV_TOL:g}"
+            )
         m = u.shape[1]
         position = ((u @ q[:m, :m]) * u).sum(axis=1)
         velocity = np.diag(q)[m:]
@@ -169,8 +188,11 @@ def h2_closed_form(s: Scenario) -> H2Result:
         )
         per_node = {i: 0.5 * float(gdiag[i]) for i in s.attack_set}
         constant = 0.5 * s.budget
+    value_sq = constant + sum(per_node.values())
+    if value_sq < 0:
+        raise ConvergenceError(f"closed-form H2^2 is negative: {value_sq:.3g}")
     return H2Result(
-        value_sq=constant + sum(per_node.values()),
+        value_sq=value_sq,
         per_node=per_node,
         constant=constant,
         method="closed_form",
@@ -295,6 +317,4 @@ def lyapunov_residual(s: Scenario) -> float:
     """
     if s.law is not ControlLaw.ABS_VELOCITY:
         raise ConfigError("lyapunov_residual is defined for law 1 only")
-    _, a_r, ctc, q = _law1_gramian(s)
-    residual = a_r.T @ q + q @ a_r + ctc
-    return float(np.abs(residual).max())
+    return _law1_gramian(s)[2]

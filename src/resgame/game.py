@@ -32,7 +32,11 @@ ENUM_CAP_ENV = "RESGAME_ENUM_CAP"
 
 
 class SubsetIndex:
-    """The f-subsets of {0..n-1} in lexicographic order; a subset's rank is its position."""
+    """The f-subsets of {0..n-1} in lexicographic order; a subset's rank is its position.
+
+    `subsets` holds them as one (N, f) integer array, which the payoff
+    cells, the reports and the matrix CSV read.
+    """
 
     def __init__(self, n: int, f: int):
         if not 1 <= f <= n:
@@ -42,11 +46,13 @@ class SubsetIndex:
         self.size = math.comb(n, f)
 
     @cached_property
-    def subsets(self) -> tuple[tuple[int, ...], ...]:
-        """All subsets, enumerated on first use; EnumerationLimitError above the cap.
+    def subsets(self) -> np.ndarray:
+        """All subsets, enumerated once into a read-only (N, f) integer array.
 
-        The cap is RESGAME_ENUM_CAP, or DEFAULT_ENUM_CAP when it is unset; a
-        value that is not an integer is a ConfigError.
+        Row r holds the nodes of the subset of rank r in ascending order.
+        Enumerated on first use; EnumerationLimitError above the cap, which
+        is RESGAME_ENUM_CAP, or DEFAULT_ENUM_CAP when it is unset; a value
+        that is not an integer is a ConfigError.
         """
         raw = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
         try:
@@ -58,7 +64,17 @@ class SubsetIndex:
                 f"C({self.n},{self.f}) = {self.size} subsets exceeds the enumeration cap "
                 f"{cap} (override via {ENUM_CAP_ENV})"
             )
-        return tuple(combinations(range(self.n), self.f))
+        subsets = np.fromiter(
+            combinations(range(self.n), self.f),
+            dtype=np.dtype((np.intp, self.f)),
+            count=self.size,
+        )
+        subsets.flags.writeable = False
+        return subsets
+
+    def subset(self, rank: int) -> tuple[int, ...]:
+        """The nodes of the subset of the given rank."""
+        return tuple(self.subsets[rank].tolist())
 
 
 @dataclass(frozen=True)
@@ -66,10 +82,11 @@ class GameMatrix:
     """One game: graph, control law, gain and the budget f of both players.
 
     Rows are defender subsets and columns attacker subsets, both in the
-    lexicographic order of `index`. The per-node cost table `rows` and the
-    payoff matrix `values` are computed on first use, so the enumeration
-    cap is enforced there, not when the game is built. Use `build_matrix`,
-    which validates the inputs.
+    lexicographic order of `index`. The per-node cost table `rows` is
+    computed on first use, so the enumeration cap is enforced there, not
+    when the game is built. The solvers read only `rows`; the dense payoff
+    matrix `values` is built only when read. Use `build_matrix`, which
+    validates the inputs.
     """
 
     graph: Graph
@@ -85,11 +102,31 @@ class GameMatrix:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Payoffs: values[r, c] sums rows[r] over attacker subset c (plus f/2 for law 2)."""
-        values = self.rows @ _indicator(self.graph.n, self.index.subsets).T
-        if self.law is ControlLaw.REL_VELOCITY:
-            values += 0.5 * self.f  # in place: NumPy reuses the product's buffer
+        """The N x N payoff matrix: values[r, c] is the `_cells` payoff of row r against column c.
+
+        8 N^2 bytes, built from `rows` on first read, a block of about
+        _BLOCK_CELLS cells at a time; `resgame matrix` and the tests read it,
+        the solvers do not.
+        """
+        w, subsets = self.rows, self.index.subsets
+        values = np.empty((len(w), len(subsets)))
+        step = max(1, _BLOCK_CELLS // len(subsets))
+        for lo in range(0, len(w), step):
+            values[lo : lo + step] = _cells(w[lo : lo + step, subsets], self.law)
         return values
+
+    @cached_property
+    def leader_row(self) -> tuple[int, np.ndarray]:
+        """(r0, cells): the first row whose largest payoff is smallest, and its N payoffs.
+
+        Rounded addition is monotone, so a row's largest payoff is its f
+        largest W entries summed by the `_cells` rule, found in O(n) per row
+        without its cells; only row r0's N cells are computed.
+        """
+        w, f = self.rows, self.f
+        row_max = _cells(np.partition(w, w.shape[1] - f, axis=1)[:, -f:], self.law)
+        r0 = int(row_max.argmin())
+        return r0, _cells(w[r0, self.index.subsets], self.law)
 
 
 @dataclass(frozen=True)
@@ -115,19 +152,18 @@ def _check_sets(g: Graph, attack_set, defense_set):
             raise ConfigError(f"node set {nodes} out of range for n={g.n}")
 
 
-def _indicator(n: int, defender_sets) -> np.ndarray:
-    """0/1 matrix with y[r, i] = 1 when node i is in defender_sets[r] (equal-size sets)."""
+def _indicator(n: int, defender_sets: np.ndarray) -> np.ndarray:
+    """0/1 matrix with y[r, i] = 1 when node i is in row r of the (R, f) node array."""
     y = np.zeros((len(defender_sets), n))
-    rows = np.arange(len(defender_sets))[:, None]
-    y[rows, np.array(defender_sets, dtype=np.intp)] = 1.0
+    y[np.arange(len(defender_sets))[:, None], defender_sets] = 1.0
     return y
 
 
-def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets) -> np.ndarray:
-    """Per-node attack costs W: W[r, i] is what attacking node i costs row r.
+def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarray) -> np.ndarray:
+    """Per-node attack costs W for the (R, f) node array of defender sets.
 
-    Under both laws the payoff of an attack set is the sum of W[r] over the
-    attacked nodes (plus f/2 for law 2): law 1 W[r, i] = (d_i+1)/(2(1+kappa y_i)),
+    W[r, i] is what attacking node i costs row r, and the payoff of an
+    attack set is its `_cells` sum: law 1 W[r, i] = (d_i+1)/(2(1+kappa y_i)),
     law 2 W[r] = diag(L_r^{-1})/2 with L_r the row's grounded Laplacian.
     """
     if law is ControlLaw.ABS_VELOCITY:
@@ -135,25 +171,56 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets) -> np.nd
             1.0 + gain * _indicator(g.n, defender_sets)
         )
     w = np.empty((len(defender_sets), g.n))
-    for r, sub in enumerate(defender_sets):
+    for r, sub in enumerate(defender_sets.tolist()):
         w[r] = 0.5 * grounded_inverse_diag(GroundedSystem(g, sub, gain))
     return w
 
 
+# Payoff cells computed at once when `values` or column minima are built in
+# blocks: with f = 2, 256 KB of gathered W entries. Larger blocks raised the
+# peak resident memory of small `matrix` exports and were no faster.
+_BLOCK_CELLS = 1 << 14
+
+
+def _cells(entries: np.ndarray, law: ControlLaw) -> np.ndarray:
+    """Payoffs from the W entries of a row at the attacked nodes, on the last axis.
+
+    The game's one summation rule: the f entries are added in ascending
+    order of value, then f/2 is added for law 2. For f <= 2 the order
+    cannot change the rounded sum, so the entries are not sorted, and a
+    cell equals the indicator product rows @ y.T plus f/2 bit for bit.
+    """
+    f = entries.shape[-1]
+    if f > 2:
+        entries = np.sort(entries, axis=-1)
+    total = entries[..., 0]
+    for k in range(1, f):
+        total = total + entries[..., k]
+    if law is ControlLaw.REL_VELOCITY:
+        total = total + 0.5 * f
+    return total
+
+
+def _payoff(g: Graph, gain: float, law: ControlLaw, attack_set, defense_set) -> float:
+    """One cell: the attack set's payoff against the defense set, by the `_cells` rule."""
+    _check_sets(g, attack_set, defense_set)
+    if not list(attack_set):
+        raise ConfigError("attack set must be nonempty")
+    defense = np.array([list(defense_set)], dtype=np.intp)
+    w = _payoff_rows(g, gain, law, defense)[0]
+    return float(_cells(w[list(attack_set)], law))
+
+
 def payoff_j1(g: Graph, gain: float, attack_set, defense_set) -> float:
     """Law-1 payoff: half the damped-degree sum over attacked nodes."""
-    _check_sets(g, attack_set, defense_set)
-    w = _payoff_rows(g, gain, ControlLaw.ABS_VELOCITY, [tuple(defense_set)])[0]
-    return float(sum(w[i] for i in attack_set))
+    return _payoff(g, gain, ControlLaw.ABS_VELOCITY, attack_set, defense_set)
 
 
 def payoff_j2(g: Graph, gain: float, attack_set, defense_set) -> float:
     """Law-2 payoff: f/2 plus half the virtual-node resistances of attacked nodes."""
-    _check_sets(g, attack_set, defense_set)
     if not list(defense_set):
         raise ConfigError("law-2 payoff requires a nonempty defense set")
-    w = _payoff_rows(g, gain, ControlLaw.REL_VELOCITY, [tuple(defense_set)])[0]
-    return 0.5 * len(list(attack_set)) + float(sum(w[i] for i in attack_set))
+    return _payoff(g, gain, ControlLaw.REL_VELOCITY, attack_set, defense_set)
 
 
 def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
@@ -170,25 +237,36 @@ def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
 
 
 def find_nash(m: GameMatrix) -> tuple[int, int, float] | None:
-    """Lexicographically smallest pure saddle point, if one exists.
+    """Lexicographically smallest pure saddle point, if one exists, from W alone.
 
     A cell is a saddle when it is the maximum of its row (attacker cannot
-    improve) and the minimum of its column (defender cannot improve). One
-    exists iff max-min equals min-max, and then the saddles are exactly the
-    cells whose row maximum is the min-max and whose column minimum is the
-    max-min, so the smallest takes the first such row and the first such
-    column.
+    improve) and the minimum of its column (defender cannot improve).
+    Saddles are interchangeable: when one exists, they are exactly the
+    cells whose row maximum is the min-max `upper` and whose column
+    minimum equals it. So the smallest saddle lies in the first such row
+    r0 (`GameMatrix.leader_row`) and in the first column c with
+    min_r cell(r, c) == upper, and every such c has cell(r0, c) == upper.
+    Those candidates are filtered by their own row, the one defending
+    exactly c's nodes (a column's minimum is at most that cell), and then
+    their column minima are computed over all rows in rank order, a block
+    of about _BLOCK_CELLS cells at a time, stopping at the first that
+    equals upper. No N x N matrix is built: memory is O(N n), and time is
+    O(N n) unless many candidates pass the filter and fail.
     """
-    values = m.values
-    row_max = values.max(axis=1)
-    col_min = values.min(axis=0)
-    upper = row_max.min()
-    lower = col_min.max()
-    if lower != upper:
-        return None
-    r = int(np.argmax(row_max == upper))
-    c = int(np.argmax(col_min == lower))
-    return r, c, float(values[r, c])
+    r0, cells = m.leader_row
+    upper = cells.max()
+    w, subsets = m.rows, m.index.subsets
+    candidates = np.flatnonzero(cells == upper)
+    own = _cells(w[candidates[:, None], subsets[candidates]], m.law)
+    candidates = candidates[own >= upper]
+    step = max(1, _BLOCK_CELLS // len(w))
+    for lo in range(0, len(candidates), step):
+        columns = candidates[lo : lo + step]
+        col_min = _cells(w[:, subsets[columns]], m.law).min(axis=0)
+        hits = np.flatnonzero(col_min >= upper)
+        if hits.size:
+            return r0, int(columns[hits[0]]), float(upper)
+    return None
 
 
 def nash_threshold(g: Graph) -> float:
@@ -198,16 +276,18 @@ def nash_threshold(g: Graph) -> float:
 
 
 def stackelberg_defender_leader(m: GameMatrix) -> EquilibriumReport:
-    """Defender commits to the row minimizing its worst column; ties by rank."""
-    values = m.values
-    row_max = values.max(axis=1)
-    r = int(row_max.argmin())
-    c = int(values[r].argmax())
+    """Defender commits to the row minimizing its worst column; ties by rank.
+
+    The row is `GameMatrix.leader_row`'s r0 and the attacker its first
+    best column, found from W and row r0's N cells; no N x N matrix is built.
+    """
+    r0, cells = m.leader_row
+    c = int(cells.argmax())
     return EquilibriumReport(
         kind="stackelberg_defender_leader",
-        defender_set=m.index.subsets[r],
-        attacker_set=m.index.subsets[c],
-        value=float(values[r, c]),
+        defender_set=m.index.subset(r0),
+        attacker_set=m.index.subset(c),
+        value=float(cells[c]),
     )
 
 
@@ -218,8 +298,8 @@ def solve(m: GameMatrix) -> EquilibriumReport:
         r, c, v = saddle
         return EquilibriumReport(
             kind="nash",
-            defender_set=m.index.subsets[r],
-            attacker_set=m.index.subsets[c],
+            defender_set=m.index.subset(r),
+            attacker_set=m.index.subset(c),
             value=v,
         )
     return stackelberg_defender_leader(m)
@@ -315,7 +395,7 @@ def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
     r = int(worst.argmin())
     return EquilibriumReport(
         kind="stackelberg_defender_leader",
-        defender_set=m.index.subsets[r],
+        defender_set=m.index.subset(r),
         attacker_set=tuple(top[r].tolist()),
         value=0.5 * f + float(worst[r]),
         theorem="resistance-minimax",

@@ -145,11 +145,12 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    d = np.zeros(g.n)
-    for i, j, w in g.edges:
-        d[i] += w
-        d[j] += w
-    return d
+    """Weighted degrees: the Laplacian's diagonal, a fresh writable array.
+
+    The cached Laplacian adds each node's edge weights in edge order, so
+    this equals the edge-loop sum bit for bit.
+    """
+    return np.diag(g._laplacian).copy()
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -267,7 +267,7 @@ def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
 
 def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
     """Matrix CSV with subset ranks and decoded node lists as headers."""
-    subsets = m.index.subsets
+    subsets = m.index.subsets.tolist()
     headers = [f"{r}:{_decode_subset(sub)}" for r, sub in enumerate(subsets)]
     with _open_out(path) as fh:
         writer = csv.writer(fh)

@@ -77,6 +77,20 @@ class TestH2:
         assert set(rep) == {"law", "gain", "defense", "attack", "h2_squared",
                             "per_node", "constant"}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("gain, code", [("1e8", 0), ("1e12", 2), ("1e16", 2), ("1e300", 2)])
+    def test_law1_large_gain_exits_2_when_inaccurate(self, capsys, p3, gain, code):
+        # the deflated Lyapunov solve loses the value as the gain grows: at
+        # 1e12 it is off by 2e-5, at 1e300 it comes out negative
+        argv = ["h2", "--graph", p3, "--law", "1", "--gain", gain,
+                "--defense", "0", "--attack", "0"]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert not out and "Lyapunov solve is inaccurate" in err
+        else:
+            assert json.loads(out)["h2_squared"] == pytest.approx(0.5, abs=1e-8)
+
     def test_law2_defended_value_with_oracle(self, capsys, p3):
         code, rep = run_json(
             capsys,

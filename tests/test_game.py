@@ -1,5 +1,6 @@
-import dataclasses
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from resgame import (
     ConfigError,
     ControlLaw,
     EnumerationLimitError,
-    GameMatrix,
     Graph,
     build_matrix,
     predict_equilibrium,
     solve,
     sweep_gain,
 )
+import resgame.game as game_module
 from resgame.game import (
     ENUM_CAP_ENV,
     SubsetIndex,
@@ -28,6 +29,7 @@ from resgame.game import (
 from resgame.graphcore import (
     center,
     complete_graph,
+    cycle_graph,
     degree_profile,
     degrees,
     path_graph,
@@ -65,13 +67,15 @@ class TestSubsetIndex:
         # reference: the 3-bit masks of 7 bits, decoded and sorted
         masks = [m for m in range(2**7) if bin(m).count("1") == 3]
         expected = sorted(tuple(i for i in range(7) if m >> i & 1) for m in masks)
-        assert list(idx.subsets) == expected
+        assert idx.subsets.shape == (idx.size, 3) and idx.subsets.dtype == np.intp
+        assert list(map(tuple, idx.subsets.tolist())) == expected
         assert idx.subsets is idx.subsets  # enumerated once
+        assert not idx.subsets.flags.writeable
 
     def test_lexicographic_order(self):
         idx = SubsetIndex(4, 2)
-        assert idx.subsets[0] == (0, 1)
-        assert idx.subsets[idx.size - 1] == (2, 3)
+        assert idx.subset(0) == (0, 1)
+        assert idx.subset(idx.size - 1) == (2, 3)
 
     def test_size_without_enumerating(self, monkeypatch):
         monkeypatch.setenv(ENUM_CAP_ENV, "10000")
@@ -116,6 +120,11 @@ class TestPayoffs:
     def test_j2_requires_defense(self):
         with pytest.raises(ConfigError):
             payoff_j2(path_graph(3), 1.0, (0,), ())
+
+    def test_payoffs_require_an_attack(self):
+        for payoff in (payoff_j1, payoff_j2):
+            with pytest.raises(ConfigError, match="attack set must be nonempty"):
+                payoff(path_graph(3), 1.0, (), (0,))
 
     def test_j2_attacking_single_defended_node(self):
         for kappa in (0.5, 1.0, 2.0):
@@ -221,51 +230,150 @@ class TestNash:
             saddle = find_nash(build_matrix(g, kappa, 1, LAW1))
             assert (saddle is not None) == (kappa <= nash_threshold(g))
 
+    @staticmethod
+    def _seeded(n, f, law, w):
+        """A game on n nodes whose per-node table W is `w` instead of the graph's."""
+        m = build_matrix(path_graph(n), 0.5, f, law)
+        vars(m)["rows"] = np.asarray(w, dtype=float)
+        return m
+
     def test_lexicographic_tie_break(self):
-        # constant matrix: every cell is a saddle; smallest (row, col) wins
-        base = build_matrix(path_graph(3), 0.5, 1, LAW1)
-        m = GameMatrix(
-            graph=base.graph,
-            law=base.law,
-            gain=base.gain,
-            f=base.f,
-            index=base.index,
-        )
-        vars(m)["values"] = np.ones((3, 3))
-        assert find_nash(m) == (0, 0, 1.0)
+        # constant W: every cell is a saddle; smallest (row, col) wins
+        for f in (1, 2, 3):
+            for law in (LAW1, LAW2):
+                m = self._seeded(4, f, law, np.ones((math.comb(4, f), 4)))
+                assert find_nash(m) == (0, 0, f + (0.5 * f if law is LAW2 else 0.0))
 
     @staticmethod
     def _first_saddle_by_scan(values):
         row_max = values.max(axis=1)
         col_min = values.min(axis=0)
-        for r in range(values.shape[0]):
-            for c in range(values.shape[1]):
-                if values[r, c] >= row_max[r] and values[r, c] <= col_min[c]:
-                    return r, c, float(values[r, c])
-        return None
+        saddles = [
+            (r, c, float(values[r, c]))
+            for r in range(values.shape[0])
+            for c in range(values.shape[1])
+            if values[r, c] >= row_max[r] and values[r, c] <= col_min[c]
+        ]
+        return (saddles[0] if saddles else None), len(saddles)
 
     def test_matches_cell_scan_with_many_saddles(self):
-        # integer matrices with a planted block of saddles R x C (rows of R are
-        # <= v off C, columns of C are >= v off R), mixed with plain random ones
-        base = build_matrix(path_graph(3), 0.5, 1, LAW1)
+        # small-integer W tables: their sums are exact, so ties are dense and
+        # the matrix equals the indicator product; half are capped at a
+        # value v with about half their rows constant v, so that many rows
+        # and columns tie at the min-max
         rng = np.random.default_rng(4)
         multi = 0
-        for trial in range(400):
-            nr, nc = (int(k) for k in rng.integers(1, 7, 2))
-            values = rng.integers(0, 4, (nr, nc)).astype(float)
-            if trial % 2:
-                v = float(rng.integers(1, 3))
-                rows = rng.random(nr) < 0.5
-                cols = rng.random(nc) < 0.5
-                rows[rng.integers(nr)] = cols[rng.integers(nc)] = True
-                values[np.ix_(rows, ~cols)] = np.minimum(values[np.ix_(rows, ~cols)], v)
-                values[np.ix_(~rows, cols)] = np.maximum(values[np.ix_(~rows, cols)], v)
-                values[np.ix_(rows, cols)] = v
-                multi += rows.sum() * cols.sum() > 1
-            m = dataclasses.replace(base)
-            vars(m)["values"] = values
-            assert find_nash(m) == self._first_saddle_by_scan(values)
+        for trial in range(1500):
+            f = 1 + trial % 3
+            law = (LAW1, LAW2)[trial // 3 % 2]
+            n = int(rng.integers(f, 7))
+            subs = SubsetIndex(n, f).subsets
+            w = rng.integers(0, 4, (len(subs), n))
+            if trial % 4 >= 2:
+                v = int(rng.integers(1, 4))
+                w = np.minimum(w, v)
+                w[rng.random(len(subs)) < 0.5] = v
+            m = self._seeded(n, f, law, w)
+            product = w @ _indicator(n, subs).T + (0.5 * f if law is LAW2 else 0.0)
+            assert np.array_equal(m.values, product)
+            saddle, count = self._first_saddle_by_scan(m.values)
+            assert find_nash(m) == saddle
+            multi += count > 1
         assert multi > 100
+
+
+class TestMatrixFree:
+    @staticmethod
+    def _product(w, subs, f, law):
+        """The indicator product rows @ y.T, plus f/2 in place for law 2."""
+        values = w @ _indicator(w.shape[1], subs).T
+        if law is LAW2:
+            values += 0.5 * f
+        return values
+
+    def test_cells_equal_indicator_product_for_f_le_2(self, rng):
+        # real-valued W over six decades, so that sums round
+        for trial in range(80):
+            f, law = 1 + trial % 2, (LAW1, LAW2)[trial // 2 % 2]
+            n = int(rng.integers(f, 10))
+            subs = SubsetIndex(n, f).subsets
+            w = rng.random((len(subs), n)) * 10.0 ** rng.integers(-3, 4, (len(subs), n))
+            m = TestNash._seeded(n, f, law, w)
+            product = self._product(w, subs, f, law)
+            r0, cells = m.leader_row
+            assert r0 == int(product.max(axis=1).argmin())
+            assert np.array_equal(cells, product[r0])
+            assert np.array_equal(m.values, product)
+        for law in (LAW1, LAW2):
+            m = build_matrix(random_connected_graph(rng, 8, weighted=True), 0.9, 2, law)
+            assert np.array_equal(m.values, self._product(m.rows, m.index.subsets, 2, law))
+
+    def test_f3_solvers_agree_with_matrix_scan(self, rng):
+        games = [build_matrix(random_connected_graph(rng, 7, weighted=bool(k % 2)), gain, f, law)
+                 for k, gain in enumerate((0.3, 2.0)) for f in (3, 4) for law in (LAW1, LAW2)]
+        for trial in range(40):
+            f, law = 3 + trial % 2, (LAW1, LAW2)[trial // 2 % 2]
+            n = int(rng.integers(f, 8))
+            w = rng.random((math.comb(n, f), n)) * 10.0 ** rng.integers(-3, 4, (math.comb(n, f), n))
+            games.append(TestNash._seeded(n, f, law, w))
+        for m in games:
+            values = m.values
+            # the cell rule: entries added in ascending order, then f/2 for law 2
+            half = 0.5 * m.f if m.law is LAW2 else 0.0
+            subs = m.index.subsets.tolist()
+            assert values.tolist() == [
+                [sum(sorted(w[i] for i in c)) + half for c in subs] for w in m.rows.tolist()
+            ]
+            row_max = values.max(axis=1)
+            r = int(row_max.argmin())
+            c = int(values[r].argmax())
+            leader = stackelberg_defender_leader(m)
+            assert (leader.defender_set, leader.attacker_set) == (m.index.subset(r), m.index.subset(c))
+            assert leader.value == values[r, c] == row_max[r]
+            saddle, _ = TestNash._first_saddle_by_scan(values)
+            assert find_nash(m) == saddle
+            rep = solve(m)
+            if saddle is not None:
+                assert rep.kind == "nash"
+                assert (rep.defender_set, rep.attacker_set) == tuple(map(m.index.subset, saddle[:2]))
+            else:
+                assert rep == leader
+
+    def test_solvers_build_no_matrix(self, rng, monkeypatch):
+        g = random_connected_graph(rng, 7)
+        for f in (1, 2, 3):
+            for law in (LAW1, LAW2):
+                m = build_matrix(g, 0.8, f, law)
+                solve(m)
+                stackelberg_defender_leader(m)
+                predict_equilibrium(m)
+                assert "rows" in vars(m) and "values" not in vars(m)
+        built = []
+        monkeypatch.setattr(
+            game_module, "build_matrix", lambda *args: built.append(build_matrix(*args)) or built[-1]
+        )
+        for law in (LAW1, LAW2):
+            sweep_gain(g, 2, law, [0.1, 1.0, 10.0])
+        assert len(built) == 6
+        assert all("rows" in vars(m) and "values" not in vars(m) for m in built)
+
+    @pytest.mark.parametrize("kind", ["random", "cycle"])
+    def test_law1_solve_memory_at_the_cap(self, rng, kind):
+        # N = C(141, 2) = 9,870: the dense matrix alone would be 779 MB; on the
+        # cycle every column not meeting row 0 ties at the row maximum
+        g = random_connected_graph(rng, 141) if kind == "random" else cycle_graph(141)
+        m = build_matrix(g, 0.3, 2, LAW1)
+        tracemalloc.start()
+        try:
+            rep = solve(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert "values" not in vars(m)
+        if kind == "cycle":
+            assert rep == stackelberg_defender_leader(m)
+            assert (rep.defender_set, rep.attacker_set, rep.value) == ((0, 1), (2, 3), 3.0)
 
 
 class TestSolveAndPredict:
@@ -342,7 +450,7 @@ class TestSolveAndPredict:
         for g in graphs:
             for f in (2, 3):
                 best = None
-                for sub in SubsetIndex(g.n, f).subsets:
+                for sub in combinations(range(g.n), f):
                     gdiag = grounded_inverse_diag(GroundedSystem(g, sub, 0.7))
                     nodes = tuple(sorted(np.argsort(-gdiag, kind="stable")[:f].tolist()))
                     worst = float(sum(gdiag[i] for i in nodes))

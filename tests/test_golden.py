@@ -4,7 +4,8 @@ Each case runs one `solve`, `sweep` or `matrix` command on a fixed graph
 from tests/golden/ and compares the bytes it writes with the file
 tests/golden/<graph>-<case> recorded from the same command. A change that
 moves any value by one bit, reorders a key or changes a tie-break fails
-here.
+here. The f = 3 cases pin the payoff cell's summation order (the three
+entries added in ascending order of value), which f <= 2 cannot show.
 """
 
 from pathlib import Path
@@ -25,6 +26,8 @@ CASES = {
     "solve-law1-f2.json": ["solve", "--law", "1", "--gain", "3", "--f", "2"],
     "solve-law2-f1.json": ["solve", "--law", "2", "--gain", "0.5", "--f", "1"],
     "solve-law2-f2.json": ["solve", "--law", "2", "--gain", "0.7", "--f", "2"],
+    "solve-law1-f3.json": ["solve", "--law", "1", "--gain", "3", "--f", "3"],
+    "solve-law2-f3.json": ["solve", "--law", "2", "--gain", "0.7", "--f", "3"],
     "sweep-law1-f1.json": ["sweep", "--law", "1", "--f", "1", "--gains", "0.1,0.25,0.5,1"],
     "sweep-law1-f1.csv": ["sweep", "--law", "1", "--f", "1", "--gains", "0.1,0.25,0.5,1", *CSV],
     "sweep-law2-f2.json": ["sweep", "--law", "2", "--f", "2", "--gains", "0.5,1,2"],
@@ -33,6 +36,8 @@ CASES = {
     "matrix-law1-f1.csv": ["matrix", "--law", "1", "--gain", "0.5", "--f", "1", *CSV],
     "matrix-law2-f2.json": ["matrix", "--law", "2", "--gain", "1.5", "--f", "2"],
     "matrix-law2-f2.csv": ["matrix", "--law", "2", "--gain", "1.5", "--f", "2", *CSV],
+    "matrix-law1-f3.json": ["matrix", "--law", "1", "--gain", "0.5", "--f", "3"],
+    "matrix-law2-f3.json": ["matrix", "--law", "2", "--gain", "1.5", "--f", "3"],
 }
 
 

@@ -79,13 +79,20 @@ class TestLaplacian:
         for n in (2, 5, 12, 30, 50):
             g = random_connected_graph(rng, n, weighted=True)
             expected = np.zeros((n, n))
+            expected_degrees = np.zeros(n)
             for i, j, w in g.edges:
                 expected[i, j] -= w
                 expected[j, i] -= w
                 expected[i, i] += w
                 expected[j, j] += w
+                expected_degrees[i] += w
+                expected_degrees[j] += w
             assert np.array_equal(laplacian(g), expected)
             assert np.array_equal(laplacian(g), expected)  # served from the cache
+            d = degrees(g)
+            assert np.array_equal(d, expected_degrees) and d.flags.writeable
+            d[0] += 1.0
+            assert np.array_equal(degrees(g), expected_degrees)  # a fresh copy
 
     def test_returns_a_writable_copy(self, rng):
         g = random_connected_graph(rng, 8, weighted=True)
