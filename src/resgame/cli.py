@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -196,8 +197,8 @@ def cmd_solve(args) -> int:
     m = game.build_matrix(graph, args.gain, args.f, ControlLaw.from_int(args.law))
     solved = game.solve(m)
     predicted = game.predict_equilibrium(m)
-    report = scenario_io.report_to_dict(solved)
-    report["prediction"] = scenario_io.report_to_dict(predicted)
+    report = asdict(solved)
+    report["prediction"] = asdict(predicted)
     report["prediction_match"] = (
         predicted.kind != "none"
         and predicted.value is not None

@@ -70,15 +70,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """Drift and input/output matrices of the attacked dynamics."""
-
-    a: np.ndarray
-    b2: np.ndarray
-    c: np.ndarray
-
-
-@dataclass(frozen=True)
 class H2Result:
     """Squared H2 norm with its per-attacked-node breakdown.
 
@@ -91,41 +82,35 @@ class H2Result:
     value_sq: float
     per_node: dict[int, float]
     constant: float
-    method: str
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
-def _indicator(n: int, nodes) -> np.ndarray:
-    y = np.zeros(n)
-    for i in nodes:
-        y[i] = 1.0
-    return y
+def _feedback(s: Scenario) -> np.ndarray:
+    """The defender's feedback block: I + gain P_D (law 1) or L + gain P_D (law 2).
+
+    P_D is the 0/1 diagonal of the defended nodes; a fresh writable array.
+    """
+    block = np.eye(s.graph.n) if s.law is ControlLaw.ABS_VELOCITY else laplacian(s.graph)
+    defended = list(s.defense_set)
+    block[defended, defended] += s.gain
+    return block
 
 
-def attack_input(n: int, attack_set) -> np.ndarray:
-    """Column-per-attacked-node selector F (n x f, one 1 per column)."""
-    f = np.zeros((n, len(attack_set)))
-    for col, i in enumerate(sorted(attack_set)):
-        f[i, col] = 1.0
-    return f
+def assemble(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The attacked network's 2n-state model (A, B2), state (positions x, velocities v).
 
-
-def assemble(s: Scenario) -> StateSpace:
-    """Build the 2n-state model: x-block integrates velocities, v-block couples."""
-    n = s.graph.n
-    lap = laplacian(s.graph)
-    dy = np.diag(_indicator(n, s.defense_set))
-    if s.law is ControlLaw.ABS_VELOCITY:
-        h = np.eye(n) + s.gain * dy
-        lower = (-lap, -h)
-    else:
-        lbar = lap + s.gain * dy
-        lower = (-lbar, -lbar)
-    a = np.block([[np.zeros((n, n)), np.eye(n)], [lower[0], lower[1]]])
-    fmat = attack_input(n, s.attack_set)
-    b2 = np.kron(np.eye(2), fmat)
-    c = np.hstack([np.zeros((n, n)), np.eye(n)])
-    return StateSpace(a=a, b2=b2, c=c)
+    A = [[0, I], [-L, -H]] with H the defender's feedback block (see
+    `_feedback`); law 2 replaces L by that block too. B2 = diag(F, F), F
+    selecting the attacked nodes in ascending order, so columns k and f + k
+    are the k-th attacked node's channels. The output is the velocity block.
+    """
+    n, f = s.graph.n, s.budget
+    h = _feedback(s)
+    coupling = laplacian(s.graph) if s.law is ControlLaw.ABS_VELOCITY else h
+    a = np.block([[np.zeros((n, n)), np.eye(n)], [-coupling, -h]])
+    b2 = np.zeros((2 * n, 2 * f))
+    b2[[*s.attack_set, *(n + i for i in s.attack_set)], range(2 * f)] = 1.0
+    return a, b2
 
 
 # Largest Lyapunov residual (see lyapunov_residual) at which the law-1
@@ -148,8 +133,7 @@ def _law1_gramian(s: Scenario) -> tuple[np.ndarray, np.ndarray, float]:
     """
     n = s.graph.n
     u = scipy.linalg.null_space(np.ones((1, n)))
-    h = np.eye(n) + s.gain * np.diag(_indicator(n, s.defense_set))
-    a_r = np.block([[np.zeros((n - 1, n - 1)), u.T], [-laplacian(s.graph) @ u, -h]])
+    a_r = np.block([[np.zeros((n - 1, n - 1)), u.T], [-laplacian(s.graph) @ u, -_feedback(s)]])
     ctc = np.diag(np.concatenate([np.zeros(n - 1), np.ones(n)]))
     q = scipy.linalg.solve_continuous_lyapunov(a_r.T, -ctc)
     residual = float(np.abs(a_r.T @ q + q @ a_r + ctc).max())
@@ -191,12 +175,7 @@ def h2_closed_form(s: Scenario) -> H2Result:
     value_sq = constant + sum(per_node.values())
     if value_sq < 0:
         raise ConvergenceError(f"closed-form H2^2 is negative: {value_sq:.3g}")
-    return H2Result(
-        value_sq=value_sq,
-        per_node=per_node,
-        constant=constant,
-        method="closed_form",
-    )
+    return H2Result(value_sq=value_sq, per_node=per_node, constant=constant)
 
 
 # time steps per propagator product in h2_energy_oracle; block sizes from
@@ -246,15 +225,15 @@ def h2_energy_oracle(
         raise ConfigError(f"oracle horizon must be positive, got {horizon}")
     if steps is not None and steps < 1:
         raise ConfigError(f"oracle steps must be >= 1, got {steps}")
-    ss = assemble(s)
-    rate = _stable_decay_rate(ss.a)
+    a, b2 = assemble(s)
+    rate = _stable_decay_rate(a)
     horizon = 20.0 / rate if horizon is None else float(horizon)
     if steps is None:
         steps = max(2000, int(np.ceil(horizon / _MAX_DT)))
     if steps % 2:
         steps += 1
     dt = horizon / steps
-    propagator = scipy.linalg.expm(ss.a * dt)
+    propagator = scipy.linalg.expm(a * dt)
     n = s.graph.n
     f = s.budget
 
@@ -266,7 +245,7 @@ def h2_energy_oracle(
 
     # columns [2f k, 2f (k+1)) of block hold the states of step k; the
     # doubling leaves power = P^_BLOCK
-    block, power = ss.b2, propagator
+    block, power = b2, propagator
     while block.shape[1] < 2 * f * _BLOCK:
         block = np.hstack([block, power @ block])
         power = power @ power
@@ -283,7 +262,7 @@ def h2_energy_oracle(
         integrals += weights @ energy
     end = energy[steps - base]
     total_end = end.sum()
-    total_start = channel_energy(ss.b2)[0].sum()
+    total_start = channel_energy(b2)[0].sum()
     if total_end > tail_tol * max(total_start, 1.0):
         raise ConvergenceError(
             f"integrand has not decayed at horizon {horizon:.3g}: "
@@ -299,7 +278,6 @@ def h2_energy_oracle(
         value_sq=sum(per_node.values()),
         per_node=per_node,
         constant=0.0,
-        method="energy_oracle",
         diagnostics={
             "decay_rate": rate,
             "horizon": horizon,

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import ControlLaw
+from .dynamics import ControlLaw, Scenario
 from .errors import ConfigError, EnumerationLimitError
 from .graphcore import Graph, degree_profile, degrees, positive_finite
 from .resistance import (
@@ -143,15 +143,6 @@ class EquilibriumReport:
     gain_above_threshold: bool | None = None
 
 
-def _check_sets(g: Graph, attack_set, defense_set):
-    for s in (attack_set, defense_set):
-        nodes = list(s)
-        if len(set(nodes)) != len(nodes):
-            raise ConfigError(f"duplicate nodes in {nodes}")
-        if any(not 0 <= int(i) < g.n for i in nodes):
-            raise ConfigError(f"node set {nodes} out of range for n={g.n}")
-
-
 def _indicator(n: int, defender_sets: np.ndarray) -> np.ndarray:
     """0/1 matrix with y[r, i] = 1 when node i is in row r of the (R, f) node array."""
     y = np.zeros((len(defender_sets), n))
@@ -202,13 +193,13 @@ def _cells(entries: np.ndarray, law: ControlLaw) -> np.ndarray:
 
 
 def _payoff(g: Graph, gain: float, law: ControlLaw, attack_set, defense_set) -> float:
-    """One cell: the attack set's payoff against the defense set, by the `_cells` rule."""
-    _check_sets(g, attack_set, defense_set)
-    if not list(attack_set):
-        raise ConfigError("attack set must be nonempty")
-    defense = np.array([list(defense_set)], dtype=np.intp)
-    w = _payoff_rows(g, gain, law, defense)[0]
-    return float(_cells(w[list(attack_set)], law))
+    """One cell: the attack set's payoff against the defense set, by the `_cells` rule.
+
+    The gain and node sets are checked as a `Scenario`'s, with its ConfigError.
+    """
+    s = Scenario(graph=g, law=law, gain=gain, defense_set=defense_set, attack_set=attack_set)
+    w = _payoff_rows(g, gain, law, np.array([s.defense_set], dtype=np.intp))[0]
+    return float(_cells(w[list(s.attack_set)], law))
 
 
 def payoff_j1(g: Graph, gain: float, attack_set, defense_set) -> float:
@@ -218,8 +209,6 @@ def payoff_j1(g: Graph, gain: float, attack_set, defense_set) -> float:
 
 def payoff_j2(g: Graph, gain: float, attack_set, defense_set) -> float:
     """Law-2 payoff: f/2 plus half the virtual-node resistances of attacked nodes."""
-    if not list(defense_set):
-        raise ConfigError("law-2 payoff requires a nonempty defense set")
     return _payoff(g, gain, ControlLaw.REL_VELOCITY, attack_set, defense_set)
 
 

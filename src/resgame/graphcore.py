@@ -84,14 +84,23 @@ class Graph:
         return Graph(self.n, self.edges + ((i, j, w),))
 
     @cached_property
+    def _degrees(self) -> np.ndarray:
+        """Weighted degrees, each node's edge weights added in edge order; read-only."""
+        d = np.zeros(self.n)
+        for i, j, w in self.edges:
+            d[i] += w
+            d[j] += w
+        d.flags.writeable = False
+        return d
+
+    @cached_property
     def _laplacian(self) -> np.ndarray:
         """The Laplacian, built once per graph and read-only; see `laplacian`."""
         lap = np.zeros((self.n, self.n))
         for i, j, w in self.edges:
             lap[i, j] -= w
             lap[j, i] -= w
-            lap[i, i] += w
-            lap[j, j] += w
+        np.fill_diagonal(lap, self._degrees)
         lap.flags.writeable = False
         return lap
 
@@ -145,12 +154,12 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    """Weighted degrees: the Laplacian's diagonal, a fresh writable array.
+    """Weighted degrees, the Laplacian's diagonal, as a fresh writable array.
 
-    The cached Laplacian adds each node's edge weights in edge order, so
-    this equals the edge-loop sum bit for bit.
+    Summed once per graph in edge order, without building the Laplacian,
+    which takes its diagonal from the same sum.
     """
-    return np.diag(g._laplacian).copy()
+    return g._degrees.copy()
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -5,9 +5,10 @@ Graphs load from edge-list text ("i j [w]" lines, '#' comments) or JSON
 the matching writers. JSON is the canonical report format; CSV is used
 for game matrices and gain sweeps. See docs/formats.md.
 
-Reports are rendered by `json_pieces`, whose pieces join to the text of
-json.dumps(obj, indent=2, sort_keys=True); a payoff matrix goes in as
-its ndarray and is written one row at a time, in JSON and in CSV.
+A report is a dict with str keys, rendered by `json_pieces`, whose
+pieces join to the text of json.dumps(report, indent=2, sort_keys=True);
+a payoff matrix goes in as its ndarray and is written one row at a time,
+in JSON and in CSV.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import ControlLaw, Scenario
 from .errors import ConfigError, GraphError
-from .game import EquilibriumReport, SweepRow, GameMatrix
+from .game import GameMatrix, SweepRow
 from .graphcore import Graph
 
 
@@ -159,83 +159,37 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(obj, base_dir=path.parent)
 
 
-def report_to_dict(report: EquilibriumReport) -> dict:
-    d = asdict(report)
-    d["defender_set"] = list(report.defender_set)
-    d["attacker_set"] = list(report.attacker_set)
-    return d
+def _matrix_pieces(matrix: np.ndarray):
+    """A 2-D float array's text as a report value, as json.dumps writes .tolist(), a row a piece."""
+    head = "["
+    for row in matrix:
+        values = row.tolist()
+        text = ",\n      ".join(map(float.__repr__, values))
+        if "n" in text:  # only the reprs of nan and inf hold an "n"
+            text = ",\n      ".join(map(json.dumps, values))
+        yield head + ("\n    [\n      " + text + "\n    ]" if values else "\n    []")
+        head = ","
+    yield "[]" if head == "[" else "\n  ]"
 
 
-def _dumps(obj, pad: str) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) placed at the indent of `pad`.
+def json_pieces(report: dict):
+    """The text of json.dumps(report, indent=2, sort_keys=True), in pieces.
 
-    Exact because json escapes newlines inside strings: every raw newline
-    of its output is layout.
+    A report is a dict with str keys. Each value is json.dumps's own text,
+    indented two spaces, except a 2-D float ndarray, which is written as
+    its .tolist() would be, one row per piece, so a report holding an
+    N x N matrix needs O(N) memory beyond the array.
     """
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
-
-
-def _holds_matrix(obj) -> bool:
-    if isinstance(obj, np.ndarray):
-        return obj.ndim == 2
-    if isinstance(obj, dict):
-        obj = obj.values()
-    elif not isinstance(obj, (list, tuple)):
-        return False
-    return any(map(_holds_matrix, obj))
-
-
-def _key(k) -> str:
-    """A dict key as json writes it: str, or a scalar converted to its JSON text."""
-    if not isinstance(k, (str, int, float, type(None))):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return json.dumps(k if isinstance(k, str) else json.dumps(k))
-
-
-def _matrix_row(row: np.ndarray, pad: str) -> str:
-    """One matrix row as json writes row.tolist() at the indent of `pad`."""
-    values = row.tolist()
-    if not values:
-        return "[]"
-    inner = pad + "  "
-    sep = "," + inner
-    try:
-        text = sep.join(map(float.__repr__, values))
-    except TypeError:  # a value that is not a float
-        text = "n"
-    if "n" in text:  # only the reprs of nan and inf hold an "n"
-        text = sep.join(_dumps(v, inner) for v in values)
-    return "[" + inner + text + pad + "]"
-
-
-def json_pieces(obj, pad: str = "\n"):
-    """The text of json.dumps(obj, indent=2, sort_keys=True), in pieces.
-
-    A 2-D ndarray is written as its .tolist() would be, one row per piece,
-    so a report holding an N x N matrix needs O(N) memory beyond the array.
-    Subtrees that hold no 2-D array are rendered by json.dumps whole.
-    """
-    if not _holds_matrix(obj):
-        yield _dumps(obj, pad)
-        return
-    if isinstance(obj, dict):
-        opener, closer = "{", "}"
-        items = [(_key(k) + ": ", v) for k, v in sorted(obj.items())]
-    else:
-        opener, closer = "[", "]"
-        items = [("", v) for v in obj]
-    if not items:  # a 2-D array with no rows
-        yield opener + closer
-        return
-    inner = pad + "  "
-    yield opener
-    for i, (head, value) in enumerate(items):
-        yield ("," if i else "") + inner + head
-        if isinstance(obj, np.ndarray):
-            yield _matrix_row(value, inner)
-        else:
-            yield from json_pieces(value, inner)
-    yield pad + closer
+    head = "{"
+    for key in sorted(report):
+        value = report[key]
+        yield head + "\n  " + json.dumps(key) + ": "
+        head = ","
+        if isinstance(value, np.ndarray):
+            yield from _matrix_pieces(value)
+        else:  # exact: json escapes newlines in strings, so each raw one is layout
+            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+    yield "{}" if head == "{" else "\n}"
 
 
 def write_json_report(obj: dict, path: str | Path) -> None:

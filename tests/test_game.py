@@ -121,6 +121,22 @@ class TestPayoffs:
         with pytest.raises(ConfigError):
             payoff_j2(path_graph(3), 1.0, (0,), ())
 
+    @pytest.mark.parametrize("gain", [math.nan, -1.0, 0.0, math.inf])
+    def test_payoffs_reject_bad_gain(self, gain):
+        for payoff in (payoff_j1, payoff_j2):
+            with pytest.raises(ConfigError, match="gain must be positive and finite"):
+                payoff(path_graph(3), gain, (1,), (1,))
+
+    @pytest.mark.parametrize(
+        "attack, defense, match",
+        [((1, 1), (0,), "duplicates"), ((0,), (2, 2), "duplicates"),
+         ((3,), (0,), "lie in"), ((0,), (-1,), "lie in")],
+    )
+    def test_payoffs_reject_bad_node_sets(self, attack, defense, match):
+        for payoff in (payoff_j1, payoff_j2):
+            with pytest.raises(ConfigError, match=match):
+                payoff(path_graph(3), 1.0, attack, defense)
+
     def test_payoffs_require_an_attack(self):
         for payoff in (payoff_j1, payoff_j2):
             with pytest.raises(ConfigError, match="attack set must be nonempty"):
@@ -416,6 +432,21 @@ class TestSolveAndPredict:
             rep = stackelberg_defender_leader(build_matrix(g, kappa, f, LAW1))
             assert rep.value == pytest.approx(pred.value, abs=1e-12)
             done += 1
+
+    def test_prediction_law1_reads_no_laplacian(self):
+        # degrees come from one O(n) sum per graph; the 2000 x 2000
+        # Laplacian alone would be 32 MB
+        g = path_graph(2000)
+        m = build_matrix(g, 5.0, 3, LAW1)
+        tracemalloc.start()
+        try:
+            pred = predict_equilibrium(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert pred.theorem == "top-degrees"
+        assert "_laplacian" not in vars(g)
 
     def test_prediction_law2_center(self, rng):
         for _ in range(10):

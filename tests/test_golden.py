@@ -1,6 +1,7 @@
 """Byte stability of the CLI's game outputs.
 
-Each case runs one `solve`, `sweep` or `matrix` command on a fixed graph
+Each case runs one `solve`, `sweep`, `matrix`, `h2 --oracle` or
+`centrality` command on a fixed graph
 from tests/golden/ and compares the bytes it writes with the file
 tests/golden/<graph>-<case> recorded from the same command. A change that
 moves any value by one bit, reorders a key or changes a tie-break fails
@@ -38,6 +39,14 @@ CASES = {
     "matrix-law2-f2.csv": ["matrix", "--law", "2", "--gain", "1.5", "--f", "2", *CSV],
     "matrix-law1-f3.json": ["matrix", "--law", "1", "--gain", "0.5", "--f", "3"],
     "matrix-law2-f3.json": ["matrix", "--law", "2", "--gain", "1.5", "--f", "3"],
+    "h2-law1-oracle.json": ["h2", "--law", "1", "--gain", "0.5", "--attack", "0,3", "--oracle"],
+    "h2-law1-defended-oracle.json": [
+        "h2", "--law", "1", "--gain", "2", "--defense", "1", "--attack", "1,4", "--oracle",
+    ],
+    "h2-law2-oracle.json": [
+        "h2", "--law", "2", "--gain", "1.5", "--defense", "0,2", "--attack", "1,3", "--oracle",
+    ],
+    "centrality.json": ["centrality"],
 }
 
 

@@ -1,0 +1,63 @@
+"""One sha256 per output file of every benchmark task, for byte checks.
+
+Runs each task of the four workloads in benchmarks/workloads.py, for each
+seed given, through `resgame.cli.main` in this process and prints
+"<seed> <task id> <sha256 of the output file>" per task. Inputs and
+outputs go to a temporary directory. Comparing two checkouts is then one
+diff:
+
+    python3 tools/output_digests.py --seeds 0-10 > after.txt
+    python3 <other checkout>/tools/output_digests.py --seeds 0-10 > before.txt
+    diff before.txt after.txt
+
+The `resgame` and `benchmarks` imported are those of the checkout that
+holds this script. BLAS runs on one thread unless OMP_NUM_THREADS or
+OPENBLAS_NUM_THREADS is set: a threaded eigensolver can move the last bit
+of a float between runs, and a digest shows that as a change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _seeds(text: str) -> list[int]:
+    """"3" or "0-10" (inclusive) or "1,4,7"."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=_seeds, default=[0], help='e.g. "0-10" or "1,4,7"')
+    args = parser.parse_args()
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # before NumPy loads BLAS
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from benchmarks import workloads
+    from resgame.cli import main as resgame_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            for name in workloads.WORKLOADS:
+                task_list = workloads.tasks(name, seed)
+                work = Path(tmp) / f"{name}-{seed}"
+                for task, graph in zip(task_list, workloads.write_inputs(task_list, work)):
+                    out = work / (task.id + task.out_suffix)
+                    code = resgame_main(task.argv(graph, out))
+                    digest = hashlib.sha256(out.read_bytes()).hexdigest() if code == 0 else f"exit {code}"
+                    print(seed, task.id, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
