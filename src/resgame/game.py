@@ -9,6 +9,7 @@ optimal strategies reduce to graph centralities.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .resistance import (
     _near_minima,
     grounded_inverse_diag,
     resistance_matrix,
+    shifted_inverse,
 )
 
 DEFAULT_ENUM_CAP = 10_000
@@ -82,11 +84,12 @@ class GameMatrix:
     """One game: graph, control law, gain and the budget f of both players.
 
     Rows are defender subsets and columns attacker subsets, both in the
-    lexicographic order of `index`. The per-node cost table `rows` is
-    computed on first use, so the enumeration cap is enforced there, not
-    when the game is built. The solvers read only `rows`; the dense payoff
-    matrix `values` is built only when read. Use `build_matrix`, which
-    validates the inputs.
+    lexicographic order of `index`. The per-node cost tables are computed
+    on first use, so the enumeration cap is enforced there, not when the
+    game is built. The solvers decide from `approx` and read exact rows
+    through `exact_rows` only where `approx` cannot settle a comparison;
+    the exact table `rows` and the dense payoff matrix `values` are built
+    only when read. Use `build_matrix`, which validates the inputs.
     """
 
     graph: Graph
@@ -116,17 +119,78 @@ class GameMatrix:
         return values
 
     @cached_property
+    def approx(self) -> tuple[np.ndarray, float]:
+        """(W̃, τ): a table of W's shape and a bound τ on |W̃ - rows| entry by entry.
+
+        For law 2 with more than one row and no exact table in hand, the
+        low-rank rows of `_low_rank_rows`. Otherwise, or when G cannot be
+        factored or τ is not finite, W̃ is `rows` itself and τ = 0, and
+        every solver takes its exact path.
+        """
+        if self.law is ControlLaw.REL_VELOCITY and self.index.size > 1 and "rows" not in vars(self):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                w, tau = _low_rank_rows(self.graph, self.gain, self.index.subsets)
+                if math.isfinite(tau):
+                    return w, tau
+        return self.rows, 0.0
+
+    @cached_property
+    def margin(self) -> float:
+        """How far apart two `approx` payoffs must be for their exact payoffs to keep their order.
+
+        A payoff adds f entries, each within τ of exact, and its rounding
+        is at most f·u times a bound on the payoffs, for W̃ and for W; so an
+        approximate payoff is within margin/2 of the exact one. 0 when τ is.
+        """
+        w, tau = self.approx
+        if tau == 0.0:
+            return 0.0
+        bound = self.f * (float(w.max()) + tau) + 0.5 * self.f  # the largest law-2 payoff
+        return 2.0 * self.f * (tau + 2.0 * _UNIT_ROUNDOFF * bound)
+
+    @cached_property
+    def _exact(self) -> dict[int, np.ndarray]:
+        """The exact rows factored so far, by rank."""
+        return {}
+
+    def exact_rows(self, ranks: np.ndarray) -> np.ndarray:
+        """The exact W rows of the given ranks, each factored at most once per game."""
+        if "rows" in vars(self):
+            return self.rows[ranks]
+        done = self._exact
+        todo = [r for r in dict.fromkeys(ranks.tolist()) if r not in done]
+        if todo:
+            done.update(zip(todo, _payoff_rows(self.graph, self.gain, self.law, self.index.subsets[todo])))
+        return np.array([done[r] for r in ranks.tolist()]).reshape(len(ranks), self.graph.n)
+
+    @cached_property
+    def _row_max(self) -> np.ndarray:
+        """Each `approx` row's largest payoff: its f largest entries summed by the `_cells` rule."""
+        w, f = self.approx[0], self.f
+        return _cells(np.partition(w, w.shape[1] - f, axis=1)[:, -f:], self.law)
+
+    def _near_min(self, scores: np.ndarray) -> np.ndarray:
+        """The ranks whose approximate score is within `margin` of the least.
+
+        Every rank whose exact score is the least is among them, when each
+        score is within margin/2 of its exact value.
+        """
+        return np.flatnonzero(scores <= scores.min() + self.margin)
+
+    @cached_property
     def leader_row(self) -> tuple[int, np.ndarray]:
-        """(r0, cells): the first row whose largest payoff is smallest, and its N payoffs.
+        """(r0, cells): the first row whose largest payoff is smallest, and its N exact payoffs.
 
         Rounded addition is monotone, so a row's largest payoff is its f
         largest W entries summed by the `_cells` rule, found in O(n) per row
-        without its cells; only row r0's N cells are computed.
+        without its cells; only row r0's N cells are computed. The rows
+        `approx` cannot tell from the least are compared exactly; with
+        τ = 0 those are the rows tied at the least.
         """
-        w, f = self.rows, self.f
-        row_max = _cells(np.partition(w, w.shape[1] - f, axis=1)[:, -f:], self.law)
-        r0 = int(row_max.argmin())
-        return r0, _cells(w[r0, self.index.subsets], self.law)
+        ranks = self._near_min(self._row_max)
+        exact, f = self.exact_rows(ranks), self.f
+        k = int(_cells(np.partition(exact, exact.shape[1] - f, axis=1)[:, -f:], self.law).argmin())
+        return int(ranks[k]), _cells(exact[k][self.index.subsets], self.law)
 
 
 @dataclass(frozen=True)
@@ -165,6 +229,58 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarr
     for r, sub in enumerate(defender_sets.tolist()):
         w[r] = 0.5 * grounded_inverse_diag(GroundedSystem(g, sub, gain))
     return w
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+# Bytes of each of the two per-chunk intermediates of the low-rank rows:
+# 256 KB in all. Larger chunks raise the peak memory of a solve above that
+# of the factored rows, and are no faster.
+_CHUNK_BYTES = 1 << 17
+
+
+def _low_rank_rows(g: Graph, gain: float, defender_sets: np.ndarray) -> tuple[np.ndarray, float]:
+    """Law-2 W for the (R, f) node array from one n x n inverse, and a bound τ on its error.
+
+    With G = shifted_inverse(g, a) and a = d_max,
+    L + κP_D = G⁻¹ - a 11ᵀ/n + κP_D, and Woodbury with G1 = 1/a gives,
+    for U = [1, G e_D] and K = [[0, 1ᵀ], [1, I/κ + G_DD]],
+    diag((L + κP_D)⁻¹) = diag(G) - rowsum(U K⁻¹ ⊙ U): O(n f²) per row,
+    batched in chunks of _CHUNK_BYTES.
+
+    τ = 8 n u ĉ max|W̃|, with u the unit roundoff and
+    ĉ = (2 d_max + κ) n (1/κ + max R) ≥ cond₂(L + κP_D) for every D:
+    Gershgorin bounds ‖L + κP_D‖₂ by 2 d_max + κ, and for v in D,
+    ‖(L + κP_D)⁻¹‖₂ ≤ tr((L + κP_v)⁻¹) = Σᵢ (1/κ + R_vi). Only that
+    bound on cond₂ is proven. That n u ĉ max|W̃| bounds |W̃ - W|, which
+    adds the rounding of G, of the K solves and of the factored rows, is
+    the usual first-order estimate, and the factor 8 was calibrated, not
+    derived: on 2- and 3-node graphs the factored rows alone are off by up
+    to 0.5 n u ĉ max|W̃|. tests/test_game.py checks |W̃ - W| ≤ τ/8 on random
+    unit-weight graphs, cycles, stars, complete graphs, twin leaves,
+    weights 10^±6 with gains 1e-8 and 1e8, and the 150-node path.
+    """
+    d_max = float(degrees(g).max())
+    big_g = shifted_inverse(g, d_max)
+    diag = np.diag(big_g)
+    n, f = g.n, defender_sets.shape[1]
+    r_max = float((diag[:, None] - 2.0 * big_g + diag).max())
+    c_hat = (2.0 * d_max + gain) * n * (1.0 / gain + r_max)
+    w = np.empty((len(defender_sets), n))
+    step = max(1, _CHUNK_BYTES // (8 * n * (f + 1)))
+    k = np.ones((step, f + 1, f + 1))
+    k[:, 0, 0] = 0.0
+    for lo in range(0, len(w), step):
+        sets = defender_sets[lo : lo + step]
+        u = np.ones((len(sets), f + 1, n))
+        u[:, 1:] = big_g[sets]
+        kk = k[: len(sets)]
+        kk[:, 1:, 1:] = big_g[sets[:, :, None], sets[:, None, :]]
+        kk[:, range(1, f + 1), range(1, f + 1)] += 1.0 / gain
+        x = np.linalg.solve(kk, u)
+        x *= u
+        np.subtract(diag, x.sum(axis=1), out=w[lo : lo + len(sets)])
+    w *= 0.5
+    return w, 8.0 * n * _UNIT_ROUNDOFF * c_hat * float(np.abs(w).max())
 
 
 # Payoff cells computed at once when `values` or column minima are built in
@@ -239,22 +355,26 @@ def find_nash(m: GameMatrix) -> tuple[int, int, float] | None:
     exactly c's nodes (a column's minimum is at most that cell), and then
     their column minima are computed over all rows in rank order, a block
     of about _BLOCK_CELLS cells at a time, stopping at the first that
-    equals upper. No N x N matrix is built: memory is O(N n), and time is
-    O(N n) unless many candidates pass the filter and fail.
+    equals upper. Cells are read from `approx`; a column whose approximate
+    minimum is within `margin` of upper is settled by the exact cells of
+    the rows it cannot tell from upper. No N x N matrix is built: memory
+    is O(N n), and time is O(N n) unless many candidates pass the filter
+    and fail.
     """
     r0, cells = m.leader_row
     upper = cells.max()
-    w, subsets = m.rows, m.index.subsets
+    (w, _), margin, subsets = m.approx, m.margin, m.index.subsets
     candidates = np.flatnonzero(cells == upper)
     own = _cells(w[candidates[:, None], subsets[candidates]], m.law)
-    candidates = candidates[own >= upper]
+    candidates = candidates[own >= upper - margin]
     step = max(1, _BLOCK_CELLS // len(w))
     for lo in range(0, len(candidates), step):
         columns = candidates[lo : lo + step]
-        col_min = _cells(w[:, subsets[columns]], m.law).min(axis=0)
-        hits = np.flatnonzero(col_min >= upper)
-        if hits.size:
-            return r0, int(columns[hits[0]]), float(upper)
+        col = _cells(w[:, subsets[columns]], m.law)
+        for j in np.flatnonzero(col.min(axis=0) >= upper - margin):
+            unsure = np.flatnonzero(col[:, j] < upper + margin)
+            if not (_cells(m.exact_rows(unsure)[:, subsets[columns[j]]], m.law) < upper).any():
+                return r0, int(columns[j]), float(upper)
     return None
 
 
@@ -311,7 +431,8 @@ def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
     virtual-node resistance min-max (law 2, f > 1). Returns kind "none"
     when no hypothesis applies, signalling the matrix solver is needed.
     Only the last enumerates subsets: it reads the game's own per-node
-    table `m.rows`, which the solver shares, so it restates the
+    tables, `m.approx` and the exact rows of the ranks that `approx` cannot
+    tell from the least, which the solver shares, so it restates the
     brute-force solution rather than predicting it independently.
     """
     g, gain, f = m.graph, m.gain, m.f
@@ -376,15 +497,21 @@ def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
             theorem="tree-center" if on_tree else "effective-center",
             witness="graph center" if on_tree else "effective center",
         )
-    w = m.rows
-    rows = np.arange(len(w))
-    # each row's f worst nodes (stable ties), summed in node order
+    # each row's f worst nodes (stable ties), summed in node order, over the
+    # exact rows whose largest payoff `approx` cannot tell from the least.
+    # With τ = 0 the margin has no room for rounding, and for f > 2 a node-
+    # order sum may round below the row's `_cells` maximum, so all rows stay.
+    w, tau = m.approx
+    ranks = np.arange(len(w))
+    if tau:
+        ranks = m._near_min(m._row_max)
+        w = m.exact_rows(ranks)
     top = np.sort(np.argsort(-w, axis=1, kind="stable")[:, :f], axis=1)
-    worst = sum(w[rows, top[:, k]] for k in range(f))
+    worst = sum(w[np.arange(len(w)), top[:, k]] for k in range(f))
     r = int(worst.argmin())
     return EquilibriumReport(
         kind="stackelberg_defender_leader",
-        defender_set=m.index.subset(r),
+        defender_set=m.index.subset(int(ranks[r])),
         attacker_set=tuple(top[r].tolist()),
         value=0.5 * f + float(worst[r]),
         theorem="resistance-minimax",

@@ -33,6 +33,24 @@ def laplacian_pinv(g: Graph) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
+def shifted_inverse(g: Graph, a: float) -> np.ndarray:
+    """G = (L + a 11ᵀ/n)⁻¹ = L⁺ + 11ᵀ/(a n) for a connected g and a > 0.
+
+    G1 = 1/a, and R_ij = G_ii + G_jj - 2 G_ij, as with the pseudoinverse
+    L⁺ (Ghosh, Boyd & Saberi, SIAM Review 2008). With a the largest
+    weighted degree, the ones direction's eigenvalue a is within a factor
+    n/(n-1) of L's nonzero spectrum (λ₂ ≤ n/(n-1)·d_min and
+    λ_n ≥ n/(n-1)·d_max, Fiedler 1973), so G is about as well conditioned
+    as L⁺ whatever the scale of the weights.
+    """
+    shifted = laplacian(g)
+    shifted += a / g.n
+    # both operands are symmetric: their transposes are the Fortran-ordered
+    # arrays that LAPACK works in place on, so no n x n copy is made
+    factor = scipy.linalg.cho_factor(shifted.T, overwrite_a=True)
+    return scipy.linalg.cho_solve(factor, np.eye(g.n).T, overwrite_b=True).T
+
+
 def resistance_matrix(g: Graph) -> np.ndarray:
     """All-pairs effective resistances R_ij = Lp_ii + Lp_jj - 2 Lp_ij."""
     pinv = laplacian_pinv(g)

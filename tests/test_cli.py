@@ -301,7 +301,8 @@ class TestMatrixAndSolve:
 
     def test_law2_solve_factors_each_defender_row_once(self, capsys, monkeypatch,
                                                        clique_plus_path):
-        # the solver and the resistance-minimax prediction share one table W
+        # the solver and the resistance-minimax prediction share one game, and
+        # factor only the rows the low-rank table cannot settle
         calls = []
         factor = game.grounded_inverse_diag
         monkeypatch.setattr(game, "grounded_inverse_diag",
@@ -311,7 +312,7 @@ class TestMatrixAndSolve:
         assert code == 0
         assert rep["prediction"]["theorem"] == "resistance-minimax"
         assert rep["prediction_match"] is True
-        assert len(calls) == math.comb(11, 2) == len(set(calls))
+        assert len(calls) == len(set(calls)) < math.comb(11, 2)
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ import pytest
 from resgame import (
     ConfigError,
     ControlLaw,
+    ConvergenceError,
     EnumerationLimitError,
     Graph,
     build_matrix,
@@ -363,7 +364,8 @@ class TestMatrixFree:
                 solve(m)
                 stackelberg_defender_leader(m)
                 predict_equilibrium(m)
-                assert "rows" in vars(m) and "values" not in vars(m)
+                # law 2 decides from the low-rank table, without the exact one
+                assert ("rows" in vars(m)) == (law is LAW1) and "values" not in vars(m)
         built = []
         monkeypatch.setattr(
             game_module, "build_matrix", lambda *args: built.append(build_matrix(*args)) or built[-1]
@@ -371,7 +373,7 @@ class TestMatrixFree:
         for law in (LAW1, LAW2):
             sweep_gain(g, 2, law, [0.1, 1.0, 10.0])
         assert len(built) == 6
-        assert all("rows" in vars(m) and "values" not in vars(m) for m in built)
+        assert all(("rows" in vars(m)) == (m.law is LAW1) and "values" not in vars(m) for m in built)
 
     @pytest.mark.parametrize("kind", ["random", "cycle"])
     def test_law1_solve_memory_at_the_cap(self, rng, kind):
@@ -390,6 +392,70 @@ class TestMatrixFree:
         if kind == "cycle":
             assert rep == stackelberg_defender_leader(m)
             assert (rep.defender_set, rep.attacker_set, rep.value) == ((0, 1), (2, 3), 3.0)
+
+
+class TestCertifiedRows:
+    """Law-2 answers from the low-rank table equal those of the exact table.
+
+    Each game is solved as built, deciding from `approx` and factoring only
+    the rows it cannot settle, and again with the exact table `rows` set,
+    which is the exact path. Reports are compared bit for bit.
+    """
+
+    @staticmethod
+    def _exact(g, gain, f):
+        m = build_matrix(g, gain, f, LAW2)
+        vars(m)["rows"] = game_module._payoff_rows(g, gain, LAW2, m.index.subsets)
+        return m
+
+    def _check(self, monkeypatch, games):
+        """Compare solve, predict and sweep on each (graph, gains, budgets); count fast games."""
+        fast = 0
+        for g, gains, budgets in games:
+            for f in budgets:
+                for gain in gains:
+                    m = build_matrix(g, gain, f, LAW2)
+                    exact = self._exact(g, gain, f)
+                    assert (solve(m), predict_equilibrium(m)) == (solve(exact), predict_equilibrium(exact))
+                    w, tau = m.approx
+                    if tau:
+                        assert np.abs(w - exact.rows).max() <= tau / 8
+                        assert "rows" not in vars(m)
+                        fast += 1
+                with monkeypatch.context() as patch:
+                    patch.setattr(game_module, "build_matrix", lambda g, gain, f, law: self._exact(g, gain, f))
+                    expected = sweep_gain(g, f, LAW2, gains)
+                assert sweep_gain(g, f, LAW2, gains) == expected
+        return fast
+
+    def test_random_unit_weight_graphs(self, rng, monkeypatch):
+        games = [(random_connected_graph(rng, int(rng.integers(4, 12))), (0.2, 1.0, 5.0), (1, 2, 3))
+                 for _ in range(8)]
+        assert self._check(monkeypatch, games) == 72
+
+    def test_dense_ties(self, monkeypatch):
+        # symmetric graphs: many rows share their largest payoff exactly
+        twin_leaves = Graph(8, ((0, 1), (1, 2), (2, 3), (2, 4), (0, 5), (0, 6), (1, 7)))
+        graphs = [cycle_graph(9), star_graph(8), complete_graph(7), twin_leaves]
+        assert self._check(monkeypatch, [(g, (0.3, 1.0, 4.0), (1, 2, 3)) for g in graphs]) == 36
+
+    def test_ill_conditioned(self, rng, monkeypatch):
+        # weights over twelve decades and extreme gains: W̃ is far from W, so
+        # the bound must grow with the conditioning or answers change
+        games = []
+        for _ in range(8):
+            base = random_connected_graph(rng, int(rng.integers(5, 11)))
+            g = Graph(base.n, tuple((i, j, float(10.0 ** rng.uniform(-6, 6))) for i, j, _ in base.edges))
+            games.append((g, (1e-8, 1.0, 1e8), (1, 2, 3)))
+        games.append((path_graph(150), (1e-8, 1e8), (1,)))
+        assert self._check(monkeypatch, games) == 74
+
+    def test_unfactorable_graph_keeps_the_exact_error(self):
+        # weights 1e8 and 1e-8 in turn: neither G nor the grounded rows factor
+        g = Graph(20, tuple((i, i + 1, 1e-8 if i % 2 else 1e8) for i in range(19)))
+        m = build_matrix(g, 1.0, 1, LAW2)
+        with pytest.raises(ConvergenceError, match="potrf"):
+            solve(m)
 
 
 class TestSolveAndPredict:

@@ -7,13 +7,21 @@ tests/golden/<graph>-<case> recorded from the same command. A change that
 moves any value by one bit, reorders a key or changes a tie-break fails
 here. The f = 3 cases pin the payoff cell's summation order (the three
 entries added in ascending order of value), which f <= 2 cannot show.
+
+Output bytes hold per BLAS build and thread count, so all cases run in
+one child interpreter with BLAS on one thread: the thread count of a
+BLAS already loaded cannot be changed from within the process.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from resgame.cli import main
+import resgame
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -50,10 +58,38 @@ CASES = {
 }
 
 
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# Runs each job {name: argv} with `resgame.cli.main`, writing <out>/<name>,
+# and prints the exit codes as one JSON object.
+_CHILD = """
+import json, sys
+from resgame.cli import main
+out, jobs = sys.argv[1], json.loads(sys.argv[2])
+print(json.dumps({name: main([*argv, "--out", f"{out}/{name}"]) for name, argv in jobs.items()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """(directory of <graph>-<case> outputs, their exit codes), from one one-thread child."""
+    out = tmp_path_factory.mktemp("golden")
+    jobs = {f"{Path(graph).stem}-{case}": [*argv, "--graph", str(GOLDEN / graph)]
+            for graph in GRAPHS for case, argv in CASES.items()}
+    src = str(Path(resgame.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(out), json.dumps(jobs)],
+        env={**os.environ, **ONE_THREAD, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return out, json.loads(child.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("graph", GRAPHS)
-def test_output_bytes_match_golden(tmp_path, graph, case):
-    out = tmp_path / case
-    assert main([*CASES[case], "--graph", str(GOLDEN / graph), "--out", str(out)]) == 0
-    golden = GOLDEN / f"{Path(graph).stem}-{case}"
-    assert out.read_bytes() == golden.read_bytes()
+def test_output_bytes_match_golden(outputs, graph, case):
+    directory, codes = outputs
+    name = f"{Path(graph).stem}-{case}"
+    assert codes[name] == 0
+    assert (directory / name).read_bytes() == (GOLDEN / name).read_bytes()
