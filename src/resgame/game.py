@@ -122,12 +122,12 @@ class GameMatrix:
     def approx(self) -> tuple[np.ndarray, float]:
         """(W̃, τ): a table of W's shape and a bound τ on |W̃ - rows| entry by entry.
 
-        For law 2 with more than one row and no exact table in hand, the
-        low-rank rows of `_low_rank_rows`. Otherwise, or when G cannot be
-        factored or τ is not finite, W̃ is `rows` itself and τ = 0, and
-        every solver takes its exact path.
+        For law 2 with no exact table in hand, the low-rank rows of
+        `_low_rank_rows`. Otherwise, or when G cannot be factored or τ is
+        not finite, W̃ is `rows` itself and τ = 0: the exact case of the
+        same decisions.
         """
-        if self.law is ControlLaw.REL_VELOCITY and self.index.size > 1 and "rows" not in vars(self):
+        if self.law is ControlLaw.REL_VELOCITY and "rows" not in vars(self):
             with contextlib.suppress(np.linalg.LinAlgError):
                 w, tau = _low_rank_rows(self.graph, self.gain, self.index.subsets)
                 if math.isfinite(tau):
@@ -140,11 +140,10 @@ class GameMatrix:
 
         A payoff adds f entries, each within τ of exact, and its rounding
         is at most f·u times a bound on the payoffs, for W̃ and for W; so an
-        approximate payoff is within margin/2 of the exact one. 0 when τ is.
+        approximate payoff is within margin/2 of the exact one, whatever
+        order its entries are added in. With τ = 0 only the rounding is left.
         """
         w, tau = self.approx
-        if tau == 0.0:
-            return 0.0
         bound = self.f * (float(w.max()) + tau) + 0.5 * self.f  # the largest law-2 payoff
         return 2.0 * self.f * (tau + 2.0 * _UNIT_ROUNDOFF * bound)
 
@@ -163,33 +162,30 @@ class GameMatrix:
             done.update(zip(todo, _payoff_rows(self.graph, self.gain, self.law, self.index.subsets[todo])))
         return np.array([done[r] for r in ranks.tolist()]).reshape(len(ranks), self.graph.n)
 
-    @cached_property
-    def _row_max(self) -> np.ndarray:
-        """Each `approx` row's largest payoff: its f largest entries summed by the `_cells` rule."""
-        w, f = self.approx[0], self.f
+    def _row_max(self, w: np.ndarray) -> np.ndarray:
+        """Each row's largest payoff: rounding is monotone, so its f largest entries by `_cells`."""
+        f = self.f
         return _cells(np.partition(w, w.shape[1] - f, axis=1)[:, -f:], self.law)
 
-    def _near_min(self, scores: np.ndarray) -> np.ndarray:
-        """The ranks whose approximate score is within `margin` of the least.
+    @cached_property
+    def _candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ranks, rows): the ranks that may hold the least largest payoff, and their exact rows.
 
-        Every rank whose exact score is the least is among them, when each
-        score is within margin/2 of its exact value.
+        They are the ranks whose `approx` largest payoff is within `margin`
+        of the least, so every rank whose exact one is the least is among them.
         """
-        return np.flatnonzero(scores <= scores.min() + self.margin)
+        scores = self._row_max(self.approx[0])
+        ranks = np.flatnonzero(scores <= scores.min() + self.margin)
+        return ranks, self.exact_rows(ranks)
 
     @cached_property
     def leader_row(self) -> tuple[int, np.ndarray]:
         """(r0, cells): the first row whose largest payoff is smallest, and its N exact payoffs.
 
-        Rounded addition is monotone, so a row's largest payoff is its f
-        largest W entries summed by the `_cells` rule, found in O(n) per row
-        without its cells; only row r0's N cells are computed. The rows
-        `approx` cannot tell from the least are compared exactly; with
-        τ = 0 those are the rows tied at the least.
+        Only the `_candidates` rows are compared, exactly, and only r0's cells are computed.
         """
-        ranks = self._near_min(self._row_max)
-        exact, f = self.exact_rows(ranks), self.f
-        k = int(_cells(np.partition(exact, exact.shape[1] - f, axis=1)[:, -f:], self.law).argmin())
+        ranks, exact = self._candidates
+        k = int(self._row_max(exact).argmin())
         return int(ranks[k]), _cells(exact[k][self.index.subsets], self.law)
 
 
@@ -430,10 +426,9 @@ def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
     the effective-center / tree-center result (law 2, f = 1), and the
     virtual-node resistance min-max (law 2, f > 1). Returns kind "none"
     when no hypothesis applies, signalling the matrix solver is needed.
-    Only the last enumerates subsets: it reads the game's own per-node
-    tables, `m.approx` and the exact rows of the ranks that `approx` cannot
-    tell from the least, which the solver shares, so it restates the
-    brute-force solution rather than predicting it independently.
+    Only the last enumerates subsets: it reads the candidate rows that
+    `GameMatrix.leader_row` reads, so it restates the brute-force solution
+    rather than predicting it independently.
     """
     g, gain, f = m.graph, m.gain, m.f
     no_prediction = EquilibriumReport(
@@ -497,15 +492,8 @@ def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
             theorem="tree-center" if on_tree else "effective-center",
             witness="graph center" if on_tree else "effective center",
         )
-    # each row's f worst nodes (stable ties), summed in node order, over the
-    # exact rows whose largest payoff `approx` cannot tell from the least.
-    # With τ = 0 the margin has no room for rounding, and for f > 2 a node-
-    # order sum may round below the row's `_cells` maximum, so all rows stay.
-    w, tau = m.approx
-    ranks = np.arange(len(w))
-    if tau:
-        ranks = m._near_min(m._row_max)
-        w = m.exact_rows(ranks)
+    # each candidate row's f worst nodes (stable ties), summed in node order
+    ranks, w = m._candidates
     top = np.sort(np.argsort(-w, axis=1, kind="stable")[:, :f], axis=1)
     worst = sum(w[np.arange(len(w)), top[:, k]] for k in range(f))
     r = int(worst.argmin())

@@ -58,7 +58,10 @@ class Graph:
             seen.add((i, j))
             norm.append((i, j, w))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
-        comps = _components(self.n, self.edges)
+        # checked before any O(n) work, so a huge node index costs nothing
+        if len(norm) < self.n - 1:
+            raise GraphError(f"graph is disconnected: {len(norm)} edges cannot connect {self.n} nodes")
+        comps = _components(self.neighbors())
         if len(comps) > 1:
             raise GraphError(
                 f"graph is disconnected; components: {[sorted(c) for c in comps]}"
@@ -118,16 +121,9 @@ class DegreeProfile:
     delta2: float
     argmax_nodes: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", np.asarray(self.degrees, dtype=float))
 
-
-def _components(n: int, edges: tuple[Edge, ...]) -> list[set[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    unseen = set(range(n))
+def _components(adj: list[list[int]]) -> list[set[int]]:
+    unseen = set(range(len(adj)))
     comps = []
     while unseen:
         root = unseen.pop()

@@ -21,6 +21,7 @@ from .dynamics import (
     h2_energy_oracle,
     lyapunov_residual,
 )
+from .errors import ConfigError
 from .graphcore import Graph, center, degree_profile, distances, laplacian
 from .resistance import (
     GroundedSystem,
@@ -380,7 +381,13 @@ SUITES = [
 def run_suites(
     seed: int = 0, trials: int = 15, nmax: int = 8, fault: str | None = None
 ) -> dict[str, str]:
-    """Run every suite with a seeded generator; returns suite -> pass/fail text."""
+    """Run every suite with a seeded generator; returns suite -> pass/fail text.
+
+    ConfigError unless trials >= 1, nmax >= 3 (some suites draw 3 nodes) and seed >= 0.
+    """
+    for name, value, least in (("trials", trials, 1), ("nmax", nmax, 3), ("seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"verify {name} must be >= {least}, got {value}")
     results = {}
     for name, fn in SUITES:
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])

@@ -241,6 +241,20 @@ def test_unreadable_input_is_validation_error(capsys, tmp_path, argv, missing):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
 
+def test_huge_node_index_is_rejected_quickly(tmp_path):
+    # one edge naming node 3,000,000: too few edges to connect the graph, so
+    # it is rejected before anything per node is built or listed
+    path = tmp_path / "huge.txt"
+    path.write_text("0 1\n1 3000000\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "resgame.cli", "centrality", "--graph", str(path)],
+        env=env, capture_output=True, check=False, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: graph is disconnected: 2 edges cannot connect 3000001 nodes\n"
+
+
 def test_malformed_enum_cap_is_validation_error(capsys, monkeypatch, p3):
     monkeypatch.setenv("RESGAME_ENUM_CAP", "abc")
     assert main(["solve", "--graph", p3, "--law", "1", "--gain", "1", "--f", "1"]) == 1
@@ -426,6 +440,21 @@ class TestVerify:
             assert proc.returncode == (3 if fault else 0), proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--nmax", "2"], ["--nmax", "0"], ["--seed", "-1"], ["--trials", "0"], ["--trials", "-1"]],
+        ids=["nmax-2", "nmax-0", "seed-negative", "trials-0", "trials-negative"],
+    )
+    def test_bad_sizes_are_validation_errors(self, capsys, flags):
+        assert main(["verify", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: verify ") and "Traceback" not in captured.err
+
+    def test_smallest_nmax_passes(self, capsys):
+        code, rep = run_json(capsys, ["verify", "--trials", "2", "--nmax", "3"])
+        assert code == 0 and rep["ok"] is True
 
     def test_seeded_output_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

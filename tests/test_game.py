@@ -557,6 +557,23 @@ class TestSolveAndPredict:
                 assert (pred.defender_set, pred.attacker_set) == best[1:]
                 assert pred.value == 0.5 * f + 0.5 * best[0]
 
+    def test_resistance_minimax_exact_table_keeps_rounding_ties(self):
+        # τ = 0: rows 0 and 1 hold the same three worst entries, permuted and
+        # one ulp apart, so row 0's node-order sum rounds above row 1's while
+        # row 1's `_cells` maximum rounds above row 0's; the margin must leave
+        # room for that rounding, or row 0 alone is a candidate
+        w = [
+            [3.8923705390608188, 6.998678150332286, 0.9764256640870306, 0.0],
+            [6.998678150332286, 0.9764256640870306, 0.0, 3.892370539060819],
+            [10.0, 10.0, 10.0, 0.0],
+            [10.0, 10.0, 0.0, 10.0],
+        ]
+        m = TestNash._seeded(4, 3, LAW2, w)
+        assert m.approx[1] == 0.0
+        pred = predict_equilibrium(m)
+        assert (pred.defender_set, pred.attacker_set) == ((0, 1, 3), (0, 1, 3))
+        assert pred.value == 13.367474353480135
+
     def test_no_prediction_for_weighted_law1(self):
         g = Graph(3, ((0, 1, 2.0), (1, 2, 1.0)))
         assert predict_equilibrium(build_matrix(g, 1.0, 1, LAW1)).kind == "none"

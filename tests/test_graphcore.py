@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,18 @@ class TestGraphValidation:
     def test_rejects_disconnected(self):
         with pytest.raises(GraphError, match="disconnected"):
             Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+
+    def test_rejects_too_few_edges_before_per_node_work(self):
+        # n - 1 edges are needed to connect n nodes: a huge node index is
+        # rejected without building n adjacency lists
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="disconnected: 1 edges cannot connect 1000000000 nodes"):
+                Graph(10**9, ((0, 1),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     def test_normalizes_edge_orientation(self):
         g = Graph(3, ((2, 0, 1.0), (1, 0, 1.0)))
