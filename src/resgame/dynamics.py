@@ -178,9 +178,6 @@ def h2_closed_form(s: Scenario) -> H2Result:
     return H2Result(value_sq=value_sq, per_node=per_node, constant=constant)
 
 
-# time steps per propagator product in h2_energy_oracle; block sizes from
-# 128 to 4096 timed the same
-_BLOCK = 256
 # largest default time step of h2_energy_oracle (the grid has at least 2000)
 _MAX_DT = 0.005
 
@@ -208,14 +205,13 @@ def h2_energy_oracle(
     given), then adds the analytic tail estimate from the slowest decay
     rate. Independent of the closed-form route.
 
-    The states exp(A k dt) B2 are produced in blocks of _BLOCK time steps:
-    the first block is built by doubling from the one-step propagator
-    P = exp(A dt), and each later block is one product P^_BLOCK @ block.
-    Each block's output energies are folded into the Simpson sum as soon as
-    they are computed (weight 0 past the last step), so memory is
-    O(_BLOCK n f) whatever the step count. Raises ConfigError for a
-    horizon <= 0 or steps < 1, and ConvergenceError when the integrand at
-    the horizon has not decayed below tail_tol of its start.
+    With P = exp(A dt), Q = C^T C and M = steps / 2, the Simpson sum
+    S = sum_k w_k (P^k)^T Q P^k is 2E + 4 P^T E P - Q + (P^steps)^T Q P^steps
+    for E = sum_{j<M} (P^2j)^T Q P^2j, which Smith's doubling builds over
+    the bits of M in O(n^3 log steps) time and O(n^2) memory; node i's
+    integral is dt/3 times diag(S) at its two input channels. Raises
+    ConfigError for a horizon <= 0 or steps < 1, and ConvergenceError when
+    the integrand at the horizon has not decayed below tail_tol of its start.
 
     The result's diagnostics hold the grid and the decay check: the decay
     rate, the horizon, the step count, and the tail fraction (integrand
@@ -235,34 +231,33 @@ def h2_energy_oracle(
     dt = horizon / steps
     propagator = scipy.linalg.expm(a * dt)
     n = s.graph.n
-    f = s.budget
 
-    def channel_energy(states):
-        # row k: per-channel integrand at the block's k-th step; columns
-        # (k, f+k) of one step's states belong to attacked node k
-        out = states[n:, :]  # C selects the velocity block
-        return (out * out).sum(axis=0).reshape(-1, 2, f).sum(axis=1)
+    def output_gram(m):
+        # m^T Q m for Q = C^T C, C selecting the velocity block
+        return m[n:].T @ m[n:]
 
-    # columns [2f k, 2f (k+1)) of block hold the states of step k; the
-    # doubling leaves power = P^_BLOCK
-    block, power = b2, propagator
-    while block.shape[1] < 2 * f * _BLOCK:
-        block = np.hstack([block, power @ block])
+    square = propagator @ propagator
+    # after the loop: even = sum_{j<M} (P^2j)^T Q P^2j and power = P^steps
+    even, power = np.zeros_like(a), np.eye(2 * n)
+    for bit in bin(steps // 2)[2:]:
+        even += power.T @ even @ power
         power = power @ power
-    offsets = np.arange(_BLOCK)
-    integrals = np.zeros(f)
-    for base in range(0, steps + 1, _BLOCK):
-        if base:
-            block = power @ block
-        energy = channel_energy(block)
-        k = base + offsets
-        weights = np.where(k % 2, 4.0, 2.0)
-        weights[(k == 0) | (k == steps)] = 1.0
-        weights[k > steps] = 0.0
-        integrals += weights @ energy
-    end = energy[steps - base]
+        if bit == "1":
+            even += output_gram(power)
+            power = power @ square
+    q = output_gram(np.eye(2 * n))
+    at_end = output_gram(power)
+    total = 2 * even + 4 * propagator.T @ even @ propagator - q + at_end
+    channels = b2.argmax(axis=0)  # the state each attack channel drives
+
+    def channel_energy(gram):
+        # per attacked node: gram's diagonal summed over its two channels
+        return gram[channels, channels].reshape(2, -1).sum(axis=0)
+
+    integrals = channel_energy(total)
+    end = channel_energy(at_end)
     total_end = end.sum()
-    total_start = channel_energy(b2)[0].sum()
+    total_start = channel_energy(q).sum()
     if total_end > tail_tol * max(total_start, 1.0):
         raise ConvergenceError(
             f"integrand has not decayed at horizon {horizon:.3g}: "

@@ -203,7 +203,7 @@ def _random_scenario(rng, nmax, law, allow_empty_defense):
 
 def check_h2_oracle_law2(rng, trials, nmax, fault=None):
     for _ in range(trials):
-        s = _random_scenario(rng, min(nmax, 6), ControlLaw.REL_VELOCITY, False)
+        s = _random_scenario(rng, nmax, ControlLaw.REL_VELOCITY, False)
         cf = h2_closed_form(s).value_sq
         oracle = h2_energy_oracle(s).value_sq
         if abs(cf - oracle) / cf > 1e-6:
@@ -214,7 +214,7 @@ def check_h2_oracle_law1_undefended(rng, trials, nmax, fault=None):
     # law 1 with no defended node; under this uniform damping the exact H2
     # checked here also equals the game's damped-degree payoff
     for _ in range(trials):
-        n = int(rng.integers(3, min(nmax, 6) + 1))
+        n = int(rng.integers(3, nmax + 1))
         g = random_connected_graph(rng, n)
         na = int(rng.integers(1, n + 1))
         aset = tuple(sorted(int(i) for i in rng.choice(n, na, replace=False)))

@@ -194,15 +194,15 @@ def stepwise_oracle(s, horizon=None, steps=None):
 
 
 class TestBlockedOracle:
-    # 2, 254, 256 and 258 steps put the last sample before, on and after the
-    # edge of the first 256-step block; 2000 steps and the default grid span
-    # several blocks and end inside a partial one. The short horizon keeps
-    # the integrand at its end large enough (0.2% to 3.5% of its start) that
-    # a wrong weight or sample there shows; tail_tol lets it pass the
-    # decay check.
+    # The doubling runs over the bits of M = steps / 2: M = 1, 3, 7 and 127
+    # set every bit, 128 only its top bit, 129 and 4097 = 2^12 + 1 the top
+    # and the lowest with zeros between, and 1000 and the default grid mix
+    # both. The short horizon keeps the integrand at its end large enough
+    # (0.2% to 3.5% of its start) that a wrong weight or sample there
+    # shows; tail_tol lets it pass the decay check.
     @pytest.mark.parametrize(
-        "steps", [2, 254, 256, 258, 2000, None],
-        ids=["2", "254", "256", "258", "2000", "default-grid"],
+        "steps", [2, 6, 14, 254, 256, 258, 2000, 2 * (2**12 + 1), None],
+        ids=["2", "6", "14", "254", "256", "258", "2000", "8194", "default-grid"],
     )
     @pytest.mark.parametrize("f", [1, 2])
     @pytest.mark.parametrize(
@@ -254,6 +254,15 @@ class TestBlockedOracle:
             tracemalloc.stop()
         assert res.diagnostics["steps"] > 100_000
         assert peak < 1_000_000
+
+    def test_long_grid_law2_path(self):
+        # a law-2 60-path grounded at one end decays so slowly that the
+        # default grid has 1.19e7 steps; a loop over them takes about 20 s
+        n = 60
+        s = scenario(path_graph(n), ControlLaw.REL_VELOCITY, 1.0, (0,), (n - 1,))
+        res = h2_energy_oracle(s)
+        assert res.diagnostics["steps"] == 11_868_216
+        assert res.value_sq == pytest.approx(h2_closed_form(s).value_sq, rel=1e-6)
 
     def test_diagnostics(self):
         s = scenario(path_graph(4), ControlLaw.REL_VELOCITY, 1.0, (1,), (0,))
