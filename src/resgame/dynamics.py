@@ -5,6 +5,9 @@ relative-velocity coupling with grounded self-feedback (law 2). The
 closed-form H2 norms (law 1: one Lyapunov solve; law 2: the
 grounded-inverse diagonal) are cross-checked by an independent
 finite-horizon energy integration of the impulse response.
+
+SciPy is imported inside the two functions that call it (the law-1
+Gramian and the oracle), so law-1 games and centralities never load it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, ConvergenceError
 from .graphcore import Graph, laplacian, positive_finite
@@ -131,6 +133,8 @@ def _law1_gramian(s: Scenario) -> tuple[np.ndarray, np.ndarray, float]:
     A_r^T Q + Q A_r + C_r^T C_r = 0. Returns (U, Q, residual), the
     residual being the max entry of |A_r^T Q + Q A_r + C_r^T C_r|.
     """
+    import scipy.linalg
+
     n = s.graph.n
     u = scipy.linalg.null_space(np.ones((1, n)))
     a_r = np.block([[np.zeros((n - 1, n - 1)), u.T], [-laplacian(s.graph) @ u, -_feedback(s)]])
@@ -217,6 +221,8 @@ def h2_energy_oracle(
     rate, the horizon, the step count, and the tail fraction (integrand
     at the horizon over the integrand at 0).
     """
+    import scipy.linalg
+
     if horizon is not None and not horizon > 0:
         raise ConfigError(f"oracle horizon must be positive, got {horizon}")
     if steps is not None and steps < 1:

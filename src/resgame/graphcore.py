@@ -8,6 +8,8 @@ weighted, so every downstream routine can assume a well-formed input.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +26,16 @@ def positive_finite(x: float) -> bool:
     return 0.0 < x < math.inf
 
 
+def _edge_entry(e) -> Edge:
+    """(i, j) with unit weight or (i, j, w), as two ints and a float."""
+    try:
+        if len(e) not in (2, 3):
+            raise ValueError
+        return operator.index(e[0]), operator.index(e[1]), float(e[2]) if len(e) == 3 else 1.0
+    except (TypeError, ValueError):
+        raise GraphError(f"bad edge entry {e!r}: expected (i, j) or (i, j, w), i and j integers") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Connected simple undirected graph with positive edge conductances.
@@ -35,16 +47,15 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise GraphError(f"node count must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise GraphError(f"node count must be >= 1, got {self.n}")
         seen = set()
         norm = []
         for e in self.edges:
-            if len(e) == 2:
-                i, j, w = e[0], e[1], 1.0
-            else:
-                i, j, w = e
-            i, j, w = int(i), int(j), float(w)
+            i, j, w = _edge_entry(e)
             if i == j:
                 raise GraphError(f"self-loop at node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):

@@ -9,20 +9,29 @@ virtual node.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, ConvergenceError
 from .graphcore import Graph, laplacian, positive_finite
 
-# The LAPACK routines behind scipy.linalg.cho_factor and cho_solve, fetched once.
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
 # Relative eigenvalue cutoff for the Laplacian pseudoinverse; a connected
 # graph has exactly one zero mode.
 _PINV_RCOND = 1e-12
+
+
+@functools.cache
+def _cholesky_lapack():
+    """LAPACK (potrf, potrs) for float64: the routines behind SciPy's cho_factor and cho_solve.
+
+    SciPy is imported at the first call, so a process that factors nothing
+    (law-1 games, centralities) never loads it.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def laplacian_pinv(g: Graph) -> np.ndarray:
@@ -42,13 +51,23 @@ def shifted_inverse(g: Graph, a: float) -> np.ndarray:
     n/(n-1) of L's nonzero spectrum (λ₂ ≤ n/(n-1)·d_min and
     λ_n ≥ n/(n-1)·d_max, Fiedler 1973), so G is about as well conditioned
     as L⁺ whatever the scale of the weights.
+
+    Calls LAPACK potrf/potrs with cho_factor/cho_solve's flags, so G is
+    bit-identical to theirs, and raises np.linalg.LinAlgError where
+    cho_factor would: when L + a 11ᵀ/n does not factor (n = 1 with a = 0).
     """
+    potrf, potrs = _cholesky_lapack()
     shifted = laplacian(g)
     shifted += a / g.n
     # both operands are symmetric: their transposes are the Fortran-ordered
     # arrays that LAPACK works in place on, so no n x n copy is made
-    factor = scipy.linalg.cho_factor(shifted.T, overwrite_a=True)
-    return scipy.linalg.cho_solve(factor, np.eye(g.n).T, overwrite_b=True).T
+    factor, info = potrf(shifted.T, lower=False, overwrite_a=True, clean=False)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"shifted Laplacian factorization failed: LAPACK potrf info={info}"
+        )
+    inv, _ = potrs(factor, np.eye(g.n).T, lower=False, overwrite_b=True)
+    return inv.T
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
@@ -108,12 +127,13 @@ def grounded_inverse_diag(gs: GroundedSystem) -> np.ndarray:
     result is bit-identical to theirs without their per-call finite and
     shape checks: a validated GroundedSystem is finite and square.
     """
-    factor, info = _POTRF(gs.lbar, lower=False, overwrite_a=False, clean=False)
+    potrf, potrs = _cholesky_lapack()
+    factor, info = potrf(gs.lbar, lower=False, overwrite_a=False, clean=False)
     if info != 0:  # cannot occur for a valid system
         raise ConvergenceError(
             f"grounded Laplacian factorization failed: LAPACK potrf info={info}"
         )
-    inv, _ = _POTRS(factor, np.eye(gs.base.n), lower=False, overwrite_b=False)
+    inv, _ = potrs(factor, np.eye(gs.base.n), lower=False, overwrite_b=False)
     return np.diag(inv).copy()
 
 

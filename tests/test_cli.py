@@ -255,6 +255,46 @@ def test_huge_node_index_is_rejected_quickly(tmp_path):
     assert proc.stderr == b"error: graph is disconnected: 2 edges cannot connect 3000001 nodes\n"
 
 
+# Runs the jobs {name: argv} with `resgame.cli.main`, then one law-2 solve,
+# and prints the exit codes and whether SciPy was loaded before and after it.
+_SCIPY_CHILD = """
+import json, sys
+from resgame.cli import main
+
+def run(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+codes = {name: run(argv) for name, argv in json.loads(sys.argv[1]).items()}
+before = "scipy" in sys.modules
+law2 = run(json.loads(sys.argv[2]))
+print(json.dumps([codes, before, law2, "scipy" in sys.modules]))
+"""
+
+
+def test_law1_and_centrality_never_load_scipy(tmp_path):
+    # SciPy is imported only where it is called: law-1 games, centralities
+    # and argument errors run on NumPy alone, a law-2 game loads it
+    kite = str(GOLDEN / "kite.txt")
+    cases = ["centrality.json", "solve-law1-f1.json", "sweep-law1-f1.json", "sweep-law1-f1.csv",
+             "matrix-law1-f1.json", "matrix-law1-f1.csv"]
+    jobs = {name: [*CASES[name], "--graph", kite, "--out", str(tmp_path / name)] for name in cases}
+    jobs["usage-error"] = ["solve", "--law", "3", "--gain", "1", "--f", "1", "--graph", kite]
+    jobs["read-error"] = ["centrality", "--graph", str(tmp_path / "missing.txt")]
+    law2 = [*CASES["solve-law2-f1.json"], "--graph", kite, "--out", str(tmp_path / "law2.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_CHILD, json.dumps(jobs), json.dumps(law2)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    codes, before, law2_code, after = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == {**{name: 0 for name in cases}, "usage-error": 1, "read-error": 1}
+    assert not before
+    assert law2_code == 0 and after
+
+
 def test_malformed_enum_cap_is_validation_error(capsys, monkeypatch, p3):
     monkeypatch.setenv("RESGAME_ENUM_CAP", "abc")
     assert main(["solve", "--graph", p3, "--law", "1", "--gain", "1", "--f", "1"]) == 1

@@ -450,6 +450,13 @@ class TestCertifiedRows:
         games.append((path_graph(150), (1e-8, 1e8), (1,)))
         assert self._check(monkeypatch, games) == 74
 
+    def test_one_node_graph_falls_back_to_exact_rows(self):
+        # G does not factor (L = [[0]], a = d_max = 0), so approx is the exact table
+        m = build_matrix(Graph(1, ()), 1.0, 1, LAW2)
+        w, tau = m.approx
+        assert tau == 0.0 and np.array_equal(w, m.rows)
+        assert solve(m).value == 1.0
+
     def test_unfactorable_graph_keeps_the_exact_error(self):
         # weights 1e8 and 1e-8 in turn: neither G nor the grounded rows factor
         g = Graph(20, tuple((i, i + 1, 1e-8 if i % 2 else 1e8) for i in range(19)))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,25 @@ class TestGraphValidation:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10
+
+    @pytest.mark.parametrize("n", ["2", 2.5, True, None], ids=["str", "float", "bool", "none"])
+    def test_rejects_non_integer_node_count(self, n):
+        with pytest.raises(GraphError, match=f"node count must be an integer, got {n!r}"):
+            Graph(n, ((0, 1),))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(0, 1, 1.0, 5), (0,), (0, "x"), (0, 1.5), (0, 1, "heavy"), 5],
+        ids=["four-fields", "one-field", "str-node", "float-node", "str-weight", "not-a-sequence"],
+    )
+    def test_rejects_malformed_edge_entry(self, entry):
+        with pytest.raises(GraphError, match=f"bad edge entry {re.escape(repr(entry))}"):
+            Graph(2, (entry,))
+
+    def test_accepts_numpy_integers(self):
+        g = Graph(np.int64(3), ((np.int64(0), np.int32(1)), (1, 2, np.float64(2.0))))
+        assert type(g.n) is int and g.edges == ((0, 1, 1.0), (1, 2, 2.0))
+        assert all(type(i) is int and type(j) is int for i, j, _ in g.edges)
 
     def test_normalizes_edge_orientation(self):
         g = Graph(3, ((2, 0, 1.0), (1, 0, 1.0)))

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from resgame import ConfigError, ConvergenceError, Graph
-from resgame.graphcore import complete_graph, distances, laplacian, path_graph
+from resgame.graphcore import complete_graph, degrees, distances, laplacian, path_graph
 from resgame.resistance import (
     GroundedSystem,
     effective_center,
@@ -12,6 +12,7 @@ from resgame.resistance import (
     grounded_inverse_diag,
     laplacian_pinv,
     resistance_matrix,
+    shifted_inverse,
 )
 
 from conftest import random_connected_graph
@@ -158,3 +159,21 @@ class TestGroundedSystem:
             if prev is not None:
                 assert (cur < prev).all()
             prev = cur
+
+
+class TestShiftedInverse:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_to_scipy_cholesky(self, rng, weighted):
+        for _ in range(50):
+            g = random_connected_graph(rng, int(rng.integers(2, 60)), weighted=weighted)
+            a = float(degrees(g).max())
+            shifted = laplacian(g)
+            shifted += a / g.n
+            factor = cho_factor(shifted.T, overwrite_a=True)
+            expected = cho_solve(factor, np.eye(g.n).T, overwrite_b=True).T
+            assert np.array_equal(shifted_inverse(g, a), expected)
+
+    def test_one_node_graph_is_linalg_error(self):
+        # L = [[0]] and a = d_max = 0: cho_factor raises the same error type
+        with pytest.raises(np.linalg.LinAlgError, match="potrf info=1"):
+            shifted_inverse(Graph(1, ()), 0.0)
