@@ -136,13 +136,13 @@ def cmd_centrality(args) -> int:
 
 
 def _scenario_from_args(args) -> Scenario:
+    flags = {f"--{name}": getattr(args, name) for name in ("graph", "law", "gain", "defense", "attack")}
     if args.config:
+        given = [name for name, val in flags.items() if val is not None]
+        if given:
+            raise ConfigError(f"h2 --config excludes the scenario flags; remove {', '.join(given)}")
         return scenario_io.load_scenario(args.config)
-    missing = [
-        name
-        for name, val in (("--graph", args.graph), ("--law", args.law), ("--gain", args.gain), ("--attack", args.attack))
-        if val is None
-    ]
+    missing = [name for name, val in flags.items() if val is None and name != "--defense"]
     if missing:
         raise ConfigError(f"h2 needs either --config or all of: {', '.join(missing)}")
     return Scenario(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .graphcore import Graph, laplacian, positive_finite
+from .graphcore import Graph, integer, laplacian, node_set, positive_finite
 from .resistance import GroundedSystem, grounded_inverse_diag
 
 
@@ -31,7 +31,7 @@ class ControlLaw(enum.Enum):
     @classmethod
     def from_int(cls, value: int) -> "ControlLaw":
         try:
-            return cls(value)
+            return cls(integer(value))
         except ValueError:
             raise ConfigError(f"control law must be 1 or 2, got {value!r}")
 
@@ -47,24 +47,14 @@ class Scenario:
     attack_set: tuple[int, ...]
 
     def __post_init__(self):
-        dset = tuple(sorted(int(i) for i in self.defense_set))
-        aset = tuple(sorted(int(i) for i in self.attack_set))
-        object.__setattr__(self, "defense_set", dset)
-        object.__setattr__(self, "attack_set", aset)
-        problems = []
+        object.__setattr__(self, "defense_set", node_set(self.defense_set, self.graph.n, "defense set"))
+        object.__setattr__(self, "attack_set", node_set(self.attack_set, self.graph.n, "attack set"))
         if not positive_finite(self.gain):
-            problems.append(f"gain must be positive and finite, got {self.gain}")
-        if not aset:
-            problems.append("attack set must be nonempty")
-        if len(set(dset)) != len(dset) or len(set(aset)) != len(aset):
-            problems.append("node sets must not contain duplicates")
-        n = self.graph.n
-        if any(not 0 <= i < n for i in dset + aset):
-            problems.append(f"node sets must lie in [0, {n})")
-        if self.law is ControlLaw.REL_VELOCITY and not dset:
-            problems.append("law 2 requires a nonempty defense set")
-        if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError(f"gain must be positive and finite, got {self.gain}")
+        if not self.attack_set:
+            raise ConfigError("attack set must be nonempty")
+        if self.law is ControlLaw.REL_VELOCITY and not self.defense_set:
+            raise ConfigError("law 2 requires a nonempty defense set")
 
     @property
     def budget(self) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import ControlLaw, Scenario
 from .errors import ConfigError, EnumerationLimitError
-from .graphcore import Graph, degree_profile, degrees, positive_finite
+from .graphcore import Graph, degree_profile, degrees, integer, positive_finite
 from .resistance import (
     GroundedSystem,
     _near_minima,
@@ -41,10 +41,10 @@ class SubsetIndex:
     """
 
     def __init__(self, n: int, f: int):
+        self.f = f = integer(f, "budget f", ConfigError)
         if not 1 <= f <= n:
             raise ConfigError(f"budget f={f} must satisfy 1 <= f <= n={n}")
         self.n = n
-        self.f = f
         self.size = math.comb(n, f)
 
     @cached_property
@@ -334,7 +334,8 @@ def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
     """
     if not positive_finite(gain):
         raise ConfigError(f"gain must be positive and finite, got {gain}")
-    return GameMatrix(graph=g, law=law, gain=gain, f=f, index=SubsetIndex(g.n, f))
+    index = SubsetIndex(g.n, f)
+    return GameMatrix(graph=g, law=law, gain=gain, f=index.f, index=index)
 
 
 def find_nash(m: GameMatrix) -> tuple[int, int, float] | None:

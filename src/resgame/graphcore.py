@@ -8,7 +8,6 @@ weighted, so every downstream routine can assume a well-formed input.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import ConfigError, GraphError
 
 Edge = tuple[int, int, float]
 
@@ -26,13 +25,33 @@ def positive_finite(x: float) -> bool:
     return 0.0 < x < math.inf
 
 
+def integer(value, what: str = "value", error: type[ValueError] = GraphError) -> int:
+    """Any integer, NumPy's included, as an int; a bool, a float (even 2.0) or a string raises `error`."""
+    if type(value) is int or type(value) is not bool and hasattr(value, "__index__"):
+        return operator.index(value)
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def node_set(nodes, n: int, what: str) -> tuple[int, ...]:
+    """A strategy's nodes, sorted, distinct and in [0, n); else a ConfigError naming `what`."""
+    try:
+        nodes = tuple(sorted(map(integer, nodes)))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must hold integer nodes, got {nodes!r}") from None
+    if len(set(nodes)) != len(nodes):
+        raise ConfigError(f"{what} {nodes} must not contain duplicates")
+    if nodes and not (0 <= nodes[0] and nodes[-1] < n):
+        raise ConfigError(f"{what} {nodes} must lie in [0, {n})")
+    return nodes
+
+
 def _edge_entry(e) -> Edge:
     """(i, j) with unit weight or (i, j, w), as two ints and a float."""
     try:
         if len(e) not in (2, 3):
             raise ValueError
-        return operator.index(e[0]), operator.index(e[1]), float(e[2]) if len(e) == 3 else 1.0
-    except (TypeError, ValueError):
+        return integer(e[0]), integer(e[1]), float(e[2]) if len(e) == 3 else 1.0
+    except (TypeError, ValueError, LookupError):
         raise GraphError(f"bad edge entry {e!r}: expected (i, j) or (i, j, w), i and j integers") from None
 
 
@@ -47,9 +66,7 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise GraphError(f"node count must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", integer(self.n, "node count"))
         if self.n < 1:
             raise GraphError(f"node count must be >= 1, got {self.n}")
         seen = set()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .graphcore import Graph, laplacian, positive_finite
+from .graphcore import Graph, laplacian, node_set, positive_finite
 
 # Relative eigenvalue cutoff for the Laplacian pseudoinverse; a connected
 # graph has exactly one zero mode.
@@ -103,13 +103,9 @@ class GroundedSystem:
     lbar: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        dset = tuple(sorted(int(i) for i in self.defense_set))
+        dset = node_set(self.defense_set, self.base.n, "defense set")
         if not dset:
             raise ConfigError("defense set must be nonempty for a grounded system")
-        if len(set(dset)) != len(dset):
-            raise ConfigError(f"duplicate nodes in defense set {dset}")
-        if any(not 0 <= i < self.base.n for i in dset):
-            raise ConfigError(f"defense set {dset} out of range for n={self.base.n}")
         if not positive_finite(self.gain):
             raise ConfigError(f"gain must be positive and finite, got {self.gain}")
         object.__setattr__(self, "defense_set", dset)
@@ -139,5 +135,4 @@ def grounded_inverse_diag(gs: GroundedSystem) -> np.ndarray:
 
 def extended_graph(g: Graph, defense_set, gain: float) -> Graph:
     """Graph with an extra virtual node n linked to each defended node."""
-    extra = tuple((int(i), g.n, float(gain)) for i in sorted(defense_set))
-    return Graph(g.n + 1, g.edges + extra)
+    return Graph(g.n + 1, g.edges + tuple((i, g.n, gain) for i in defense_set))

@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import ControlLaw, Scenario
 from .errors import ConfigError, GraphError
 from .game import GameMatrix, SweepRow
-from .graphcore import Graph
+from .graphcore import Graph, _edge_entry, integer
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -63,23 +63,16 @@ def _list(value) -> list | tuple:
     return value
 
 
-def _edge(e) -> tuple[int, int, float]:
-    """[i, j] (unit weight) or [i, j, w]."""
-    if len(_list(e)) not in (2, 3):
-        raise ValueError
-    return int(e[0]), int(e[1]), float(e[2]) if len(e) == 3 else 1.0
-
-
 def _nodes(value) -> tuple[int, ...]:
-    return tuple(int(i) for i in _list(value))
+    return tuple(map(integer, _list(value)))
 
 
 def parse_graph_json(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")
-    n = _convert(int, obj["n"], "'n'", GraphError)
+    n = _convert(integer, obj["n"], "'n'", GraphError)
     entries = _convert(_list, obj["edges"], "'edges'", GraphError)
-    edges = tuple(_convert(_edge, e, "an 'edges' entry", GraphError) for e in entries)
+    edges = tuple(_convert(_edge_entry, e, "an 'edges' entry", GraphError) for e in entries)
     return Graph(n, edges)
 
 
@@ -143,7 +136,7 @@ def scenario_from_dict(obj: dict, base_dir: str | Path = ".") -> Scenario:
         graph = parse_graph_json(graph_src)
     return Scenario(
         graph=graph,
-        law=ControlLaw.from_int(_convert(int, obj["law"], "'law'", ConfigError)),
+        law=ControlLaw.from_int(_convert(integer, obj["law"], "'law'", ConfigError)),
         gain=_convert(float, obj["gain"], "'gain'", ConfigError),
         defense_set=_convert(_nodes, obj.get("defense", []), "'defense'", ConfigError),
         attack_set=_convert(_nodes, obj["attack"], "'attack'", ConfigError),

@@ -134,7 +134,8 @@ class TestH2:
         assert by_flags == by_config
 
     @pytest.mark.parametrize(
-        "field, value", [("law", "x"), ("gain", "abc"), ("attack", 1)]
+        "field, value", [("law", "x"), ("gain", "abc"), ("attack", 1),
+                         ("law", 2.7), ("attack", [1.9]), ("defense", [0.5])]
     )
     def test_malformed_config_is_validation_error(self, capsys, tmp_path, p3, field, value):
         cfg = tmp_path / "scenario.json"
@@ -143,12 +144,45 @@ class TestH2:
         assert main(["h2", "--config", str(cfg)]) == 1
         assert f"bad value for '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--law", "1"], "--law"), (["--defense", "0"], "--defense"),
+         (["--law", "1", "--gain", "5", "--attack", "2", "--graph", "p3.txt"],
+          "--graph, --law, --gain, --attack")],
+        ids=["law", "defense", "four"],
+    )
+    def test_config_excludes_scenario_flags(self, capsys, tmp_path, p3, flags, named):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"graph": p3, "law": 2, "gain": 1.0, "defense": [1], "attack": [1]}))
+        assert main(["h2", "--config", str(cfg), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: h2 --config excludes the scenario flags; remove {named}\n"
+
     def test_missing_flags_is_validation_error(self, p3):
         assert main(["h2", "--graph", p3, "--law", "1"]) == 1
 
     def test_bad_node_is_validation_error(self, p3):
         assert main(["h2", "--graph", p3, "--law", "1", "--gain", "1",
                      "--attack", "9"]) == 1
+
+
+@pytest.mark.parametrize(
+    "graph, field",
+    [({"n": 2, "edges": [[0, 1.9]]}, "an 'edges' entry: [0, 1.9]"),
+     ({"n": 2.9, "edges": [[0, 1.9], [True, 0]]}, "'n': 2.9"),
+     ({"n": True, "edges": [[0, 1]]}, "'n': True")],
+    ids=["edge-node-float", "n-float-and-edge-node-bool", "n-bool"],
+)
+@pytest.mark.parametrize("command", ["centrality", "solve"])
+def test_non_integer_graph_is_validation_error(capsys, tmp_path, graph, field, command):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    flags = ["--law", "1", "--gain", "1", "--f", "1"] if command == "solve" else []
+    assert main([command, "--graph", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad value for {field}\n"
 
 
 @pytest.mark.parametrize(

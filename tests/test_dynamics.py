@@ -47,8 +47,15 @@ class TestScenarioValidation:
     def test_law_from_int(self):
         assert ControlLaw.from_int(1) is ControlLaw.ABS_VELOCITY
         assert ControlLaw.from_int(2) is ControlLaw.REL_VELOCITY
-        with pytest.raises(ConfigError):
-            ControlLaw.from_int(3)
+        for value in (3, 2.0, 2.7, True, "2"):
+            with pytest.raises(ConfigError, match=f"control law must be 1 or 2, got {value!r}"):
+                ControlLaw.from_int(value)
+
+    def test_rejects_non_integer_nodes(self):
+        with pytest.raises(ConfigError, match=r"defense set must hold integer nodes, got \(0\.7,\)"):
+            Scenario(path_graph(3), ControlLaw.REL_VELOCITY, 1.0, (0.7,), (2.9,))
+        with pytest.raises(ConfigError, match=r"attack set must hold integer nodes, got \(2\.9,\)"):
+            Scenario(path_graph(3), ControlLaw.REL_VELOCITY, 1.0, (0,), (2.9,))
 
 
 class TestAssembly:

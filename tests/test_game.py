@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -91,6 +92,12 @@ class TestSubsetIndex:
             SubsetIndex(3, 0)
         with pytest.raises(ConfigError):
             SubsetIndex(3, 4)
+
+    @pytest.mark.parametrize("f", [1.5, True, 1.0, "1"], ids=["float", "bool", "float-1", "str"])
+    @pytest.mark.parametrize("law", list(ControlLaw), ids=["law1", "law2"])
+    def test_build_matrix_rejects_non_integer_budget(self, f, law):
+        with pytest.raises(ConfigError, match=f"budget f must be an integer, got {re.escape(repr(f))}"):
+            build_matrix(path_graph(3), 1.0, f, law)
 
 
 class TestPayoffs:

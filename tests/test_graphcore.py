@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from resgame import Graph, GraphError
+from resgame import ConfigError, Graph, GraphError
 from resgame.graphcore import (
     center,
     complete_graph,
@@ -13,7 +13,9 @@ from resgame.graphcore import (
     degrees,
     distances,
     eccentricities,
+    integer,
     laplacian,
+    node_set,
     path_graph,
     star_graph,
 )
@@ -54,15 +56,16 @@ class TestGraphValidation:
             tracemalloc.stop()
         assert peak < 64 * 2**10
 
-    @pytest.mark.parametrize("n", ["2", 2.5, True, None], ids=["str", "float", "bool", "none"])
+    @pytest.mark.parametrize("n", ["2", 2.5, True, None, 2.0], ids=["str", "float", "bool", "none", "float-2"])
     def test_rejects_non_integer_node_count(self, n):
         with pytest.raises(GraphError, match=f"node count must be an integer, got {n!r}"):
             Graph(n, ((0, 1),))
 
     @pytest.mark.parametrize(
         "entry",
-        [(0, 1, 1.0, 5), (0,), (0, "x"), (0, 1.5), (0, 1, "heavy"), 5],
-        ids=["four-fields", "one-field", "str-node", "float-node", "str-weight", "not-a-sequence"],
+        [(0, 1, 1.0, 5), (0,), (0, "x"), (0, 1.5), (0, 1, "heavy"), 5, (True, 0), {"i": 0, "j": 1}],
+        ids=["four-fields", "one-field", "str-node", "float-node", "str-weight", "not-a-sequence",
+             "bool-node", "mapping"],
     )
     def test_rejects_malformed_edge_entry(self, entry):
         with pytest.raises(GraphError, match=f"bad edge entry {re.escape(repr(entry))}"):
@@ -72,6 +75,35 @@ class TestGraphValidation:
         g = Graph(np.int64(3), ((np.int64(0), np.int32(1)), (1, 2, np.float64(2.0))))
         assert type(g.n) is int and g.edges == ((0, 1, 1.0), (1, 2, 2.0))
         assert all(type(i) is int and type(j) is int for i, j, _ in g.edges)
+
+    @pytest.mark.parametrize(
+        "value", [True, False, 2.0, 1.9, "1", None, np.float64(1.0), np.True_],
+        ids=["true", "false", "float-2", "float-1.9", "str", "none", "np-float", "np-bool"],
+    )
+    def test_integer_rule_rejects_non_integers(self, value):
+        with pytest.raises(ConfigError, match=re.escape(f"count must be an integer, got {value!r}")):
+            integer(value, "count", ConfigError)
+
+    @pytest.mark.parametrize("value", [0, -3, np.int64(7), np.intp(7), np.int32(7), np.uint8(7)])
+    def test_integer_rule_returns_a_python_int(self, value):
+        got = integer(value)
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize(
+        "nodes, problem",
+        [((1.5,), "must hold integer nodes"), ((True,), "must hold integer nodes"),
+         (("1",), "must hold integer nodes"), (1, "must hold integer nodes"),
+         ((1, 1), "must not contain duplicates"), ((3,), r"must lie in \[0, 3\)"),
+         ((-1,), r"must lie in \[0, 3\)")],
+        ids=["float", "bool", "str", "not-a-collection", "duplicate", "too-large", "negative"],
+    )
+    def test_node_set_rejects_and_names_the_set(self, nodes, problem):
+        with pytest.raises(ConfigError, match=f"^attack set .*{problem}"):
+            node_set(nodes, 3, "attack set")
+
+    def test_node_set_sorts(self):
+        assert node_set(np.array([2, 0]), 3, "defense set") == (0, 2)
+        assert node_set((), 3, "defense set") == ()
 
     def test_normalizes_edge_orientation(self):
         g = Graph(3, ((2, 0, 1.0), (1, 0, 1.0)))

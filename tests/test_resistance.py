@@ -82,6 +82,11 @@ class TestGroundedSystem:
         with pytest.raises(ConfigError):
             GroundedSystem(path_graph(3), (0,), -1.0)
 
+    @pytest.mark.parametrize("dset", [(1.5,), (True,), (0, 0), (3,)], ids=["float", "bool", "duplicate", "range"])
+    def test_rejects_bad_defense_set(self, dset):
+        with pytest.raises(ConfigError, match="^defense set .*must"):
+            GroundedSystem(path_graph(3), dset, 1.0)
+
     def test_diag_matches_direct_inverse(self, rng):
         g = random_connected_graph(rng, 7, weighted=True)
         gs = GroundedSystem(g, (0, 3), 1.5)

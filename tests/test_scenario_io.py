@@ -67,9 +67,16 @@ class TestGraphParsing:
          ({"n": "two", "edges": [[0, 1]]}, "'n': 'two'"),
          ({"n": 2, "edges": [["a", 1]]}, "an 'edges' entry: ['a', 1]"),
          ({"n": 2, "edges": 5}, "'edges': 5"),
-         ({"n": 2, "edges": [[0, 1, 1.0, 2]]}, "an 'edges' entry")],
+         ({"n": 2, "edges": [[0, 1, 1.0, 2]]}, "an 'edges' entry"),
+         ({"n": 2, "edges": [[0, 1.9]]}, "an 'edges' entry: [0, 1.9]"),
+         ({"n": 2.9, "edges": [[0, 1.9], [True, 0]]}, "'n': 2.9"),
+         ({"n": True, "edges": [[0, 1]]}, "'n': True"),
+         ({"n": 2.0, "edges": [[0, 1]]}, "'n': 2.0"),
+         ({"n": 2, "edges": [[True, 0]]}, "an 'edges' entry: [True, 0]"),
+         ({"n": 2, "edges": [{"i": 0, "j": 1}]}, "an 'edges' entry: {'i': 0, 'j': 1}")],
         ids=["edge-not-a-list", "n-not-int", "edge-node-not-int", "edges-not-a-list",
-             "edge-too-long"],
+             "edge-too-long", "edge-node-float", "n-float-and-edge-node-bool", "n-bool",
+             "n-float-2", "edge-node-bool", "edge-object"],
     )
     def test_json_malformed_value_names_field(self, obj, field):
         with pytest.raises(GraphError, match=re.escape(f"bad value for {field}")):
@@ -125,11 +132,13 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("law", "x"), ("gain", "abc"), ("gain", None), ("attack", 1), ("defense", ["a"])],
+        [("law", "x"), ("gain", "abc"), ("gain", None), ("attack", 1), ("defense", ["a"]),
+         ("law", 2.7), ("law", 2.0), ("law", True), ("attack", [1.9]), ("attack", [True]),
+         ("defense", [0.5]), ("defense", ["1"])],
     )
     def test_malformed_value_names_field(self, key, value):
         obj = {"graph": {"n": 2, "edges": [[0, 1]]}, "law": 1, "gain": 1.0, "attack": [0]}
-        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+        with pytest.raises(ConfigError, match=re.escape(f"bad value for '{key}': {value!r}")):
             scenario_from_dict({**obj, key: value})
 
     def test_missing_keys_listed(self):
