@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import game, scenario_io
-from .dynamics import ControlLaw, Scenario, h2_closed_form, h2_energy_oracle
+from .dynamics import Scenario, h2_closed_form, h2_energy_oracle
 from .errors import ConfigError, ConvergenceError, EnumerationLimitError, GraphError
 from .graphcore import center, degree_profile, eccentricities
 from .resistance import effective_center, effective_eccentricities
@@ -147,7 +147,7 @@ def _scenario_from_args(args) -> Scenario:
         raise ConfigError(f"h2 needs either --config or all of: {', '.join(missing)}")
     return Scenario(
         graph=scenario_io.load_graph(args.graph),
-        law=ControlLaw.from_int(args.law),
+        law=args.law,
         gain=args.gain,
         defense_set=_parse_nodes(args.defense),
         attack_set=_parse_nodes(args.attack),
@@ -177,7 +177,7 @@ def cmd_h2(args) -> int:
 
 def cmd_matrix(args) -> int:
     graph = scenario_io.load_graph(args.graph)
-    m = game.build_matrix(graph, args.gain, args.f, ControlLaw.from_int(args.law))
+    m = game.build_matrix(graph, args.gain, args.f, args.law)
     if args.fmt == "csv":
         scenario_io.write_matrix_csv(m, args.out)
         return 0
@@ -194,7 +194,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_solve(args) -> int:
     graph = scenario_io.load_graph(args.graph)
-    m = game.build_matrix(graph, args.gain, args.f, ControlLaw.from_int(args.law))
+    m = game.build_matrix(graph, args.gain, args.f, args.law)
     solved = game.solve(m)
     predicted = game.predict_equilibrium(m)
     report = asdict(solved)
@@ -211,7 +211,7 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     graph = scenario_io.load_graph(args.graph)
     gains = _parse_gains(args.gains)
-    rows = game.sweep_gain(graph, args.f, ControlLaw.from_int(args.law), gains)
+    rows = game.sweep_gain(graph, args.f, args.law, gains)
     if args.fmt == "csv":
         scenario_io.write_sweep_csv(rows, args.out)
         return 0

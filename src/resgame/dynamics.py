@@ -29,7 +29,10 @@ class ControlLaw(enum.Enum):
     REL_VELOCITY = 2
 
     @classmethod
-    def from_int(cls, value: int) -> "ControlLaw":
+    def from_int(cls, value: "int | ControlLaw") -> "ControlLaw":
+        """The law numbered 1 or 2 (any integer type) or a member, unchanged; else a ConfigError."""
+        if isinstance(value, cls):
+            return value
         try:
             return cls(integer(value))
         except ValueError:
@@ -47,6 +50,7 @@ class Scenario:
     attack_set: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "law", ControlLaw.from_int(self.law))
         object.__setattr__(self, "defense_set", node_set(self.defense_set, self.graph.n, "defense set"))
         object.__setattr__(self, "attack_set", node_set(self.attack_set, self.graph.n, "attack set"))
         if not positive_finite(self.gain):

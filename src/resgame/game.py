@@ -228,7 +228,7 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarr
 
 
 _UNIT_ROUNDOFF = 2.0**-53
-# Bytes of each of the two per-chunk intermediates of the low-rank rows:
+# A chunk of low-rank rows holds 2 x _CHUNK_BYTES of intermediates:
 # 256 KB in all. Larger chunks raise the peak memory of a solve above that
 # of the factored rows, and are no faster.
 _CHUNK_BYTES = 1 << 17
@@ -238,18 +238,21 @@ def _low_rank_rows(g: Graph, gain: float, defender_sets: np.ndarray) -> tuple[np
     """Law-2 W for the (R, f) node array from one n x n inverse, and a bound τ on its error.
 
     With G = shifted_inverse(g, a) and a = d_max,
-    L + κP_D = G⁻¹ - a 11ᵀ/n + κP_D, and Woodbury with G1 = 1/a gives,
-    for U = [1, G e_D] and K = [[0, 1ᵀ], [1, I/κ + G_DD]],
-    diag((L + κP_D)⁻¹) = diag(G) - rowsum(U K⁻¹ ⊙ U): O(n f²) per row,
-    batched in chunks of _CHUNK_BYTES.
+    L + κP_D = G⁻¹ - a 11ᵀ/n + κP_D and G1 = 1/a. Woodbury with
+    U = [1, G e_D] and K = [[0, 1ᵀ], [1, M]], M = I/κ + G_DD, with the
+    ones row of K eliminated by hand, gives for g_i = G[D, i]
+    diag((L + κP_D)⁻¹)_i = G_ii - g_iᵀM⁻¹g_i + (1ᵀM⁻¹g_i - 1)² / 1ᵀM⁻¹1:
+    one f x f inverse and O(n f² + f³) per row, with no solve over n
+    right-hand sides, batched in chunks of _CHUNK_BYTES. For f = 1,
+    D = {v}, this is 1/κ + R_vi, with R the resistance matrix.
 
     τ = 8 n u ĉ max|W̃|, with u the unit roundoff and
     ĉ = (2 d_max + κ) n (1/κ + max R) ≥ cond₂(L + κP_D) for every D:
     Gershgorin bounds ‖L + κP_D‖₂ by 2 d_max + κ, and for v in D,
     ‖(L + κP_D)⁻¹‖₂ ≤ tr((L + κP_v)⁻¹) = Σᵢ (1/κ + R_vi). Only that
     bound on cond₂ is proven. That n u ĉ max|W̃| bounds |W̃ - W|, which
-    adds the rounding of G, of the K solves and of the factored rows, is
-    the usual first-order estimate, and the factor 8 was calibrated, not
+    adds the rounding of G, of the f x f inverses and of the factored rows,
+    is the usual first-order estimate, and the factor 8 was calibrated, not
     derived: on 2- and 3-node graphs the factored rows alone are off by up
     to 0.5 n u ĉ max|W̃|. tests/test_game.py checks |W̃ - W| ≤ τ/8 on random
     unit-weight graphs, cycles, stars, complete graphs, twin leaves,
@@ -262,19 +265,22 @@ def _low_rank_rows(g: Graph, gain: float, defender_sets: np.ndarray) -> tuple[np
     r_max = float((diag[:, None] - 2.0 * big_g + diag).max())
     c_hat = (2.0 * d_max + gain) * n * (1.0 / gain + r_max)
     w = np.empty((len(defender_sets), n))
+    # per row, g and M⁻¹g take f rows of n floats each and p and q one each
     step = max(1, _CHUNK_BYTES // (8 * n * (f + 1)))
-    k = np.ones((step, f + 1, f + 1))
-    k[:, 0, 0] = 0.0
     for lo in range(0, len(w), step):
         sets = defender_sets[lo : lo + step]
-        u = np.ones((len(sets), f + 1, n))
-        u[:, 1:] = big_g[sets]
-        kk = k[: len(sets)]
-        kk[:, 1:, 1:] = big_g[sets[:, :, None], sets[:, None, :]]
-        kk[:, range(1, f + 1), range(1, f + 1)] += 1.0 / gain
-        x = np.linalg.solve(kk, u)
-        x *= u
-        np.subtract(diag, x.sum(axis=1), out=w[lo : lo + len(sets)])
+        gd = big_g[sets]
+        m = big_g[sets[:, :, None], sets[:, None, :]]
+        m.reshape(len(sets), f * f)[:, :: f + 1] += 1.0 / gain
+        m_inv = np.linalg.inv(m)
+        a = m_inv @ gd
+        p = np.einsum("ckn->cn", a)  # 1ᵀM⁻¹g_i
+        q = np.einsum("ckn,ckn->cn", a, gd)  # g_iᵀM⁻¹g_i
+        p -= 1.0
+        p *= p
+        p /= m_inv.sum(axis=(1, 2))[:, None]
+        p -= q
+        np.add(diag, p, out=w[lo : lo + len(sets)])
     w *= 0.5
     return w, 8.0 * n * _UNIT_ROUNDOFF * c_hat * float(np.abs(w).max())
 
@@ -327,11 +333,12 @@ def payoff_j2(g: Graph, gain: float, attack_set, defense_set) -> float:
 def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
     """The game on g under `law` with the given gain and budget f.
 
-    The one place that validates a game's gain and f. Nothing is
+    The one place that validates a game's law, gain and f. Nothing is
     enumerated or computed here: payoffs decompose as sums of
     per-attacked-node terms that depend only on the defender row, and
     GameMatrix computes that table and the matrix on first use.
     """
+    law = ControlLaw.from_int(law)
     if not positive_finite(gain):
         raise ConfigError(f"gain must be positive and finite, got {gain}")
     index = SubsetIndex(g.n, f)

@@ -21,7 +21,7 @@ Edge = tuple[int, int, float]
 
 
 def positive_finite(x: float) -> bool:
-    """The one rule for edge weights and gains: false for 0, negatives, nan and +-inf."""
+    """The one range rule for edge weights and gains: false for 0, negatives, nan and +-inf."""
     return 0.0 < x < math.inf
 
 
@@ -30,6 +30,15 @@ def integer(value, what: str = "value", error: type[ValueError] = GraphError) ->
     if type(value) is int or type(value) is not bool and hasattr(value, "__index__"):
         return operator.index(value)
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def real(value, what: str = "value", error: type[ValueError] = GraphError) -> float:
+    """Any real number, NumPy's included, as a float; a bool, a string or a complex raises `error`."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (float, np.floating)) or type(value) is not bool and hasattr(value, "__index__"):
+        return float(value)
+    raise error(f"{what} must be a real number, got {value!r}")
 
 
 def node_set(nodes, n: int, what: str) -> tuple[int, ...]:
@@ -50,9 +59,9 @@ def _edge_entry(e) -> Edge:
     try:
         if len(e) not in (2, 3):
             raise ValueError
-        return integer(e[0]), integer(e[1]), float(e[2]) if len(e) == 3 else 1.0
+        return integer(e[0]), integer(e[1]), real(e[2]) if len(e) == 3 else 1.0
     except (TypeError, ValueError, LookupError):
-        raise GraphError(f"bad edge entry {e!r}: expected (i, j) or (i, j, w), i and j integers") from None
+        raise GraphError(f"bad edge entry {e!r}: expected (i, j) or (i, j, w), i, j integers, w real") from None
 
 
 @dataclass(frozen=True)

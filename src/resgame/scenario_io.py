@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ControlLaw, Scenario
+from .dynamics import Scenario
 from .errors import ConfigError, GraphError
 from .game import GameMatrix, SweepRow
-from .graphcore import Graph, _edge_entry, integer
+from .graphcore import Graph, _edge_entry, integer, real
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -136,8 +136,8 @@ def scenario_from_dict(obj: dict, base_dir: str | Path = ".") -> Scenario:
         graph = parse_graph_json(graph_src)
     return Scenario(
         graph=graph,
-        law=ControlLaw.from_int(_convert(integer, obj["law"], "'law'", ConfigError)),
-        gain=_convert(float, obj["gain"], "'gain'", ConfigError),
+        law=_convert(integer, obj["law"], "'law'", ConfigError),
+        gain=_convert(real, obj["gain"], "'gain'", ConfigError),
         defense_set=_convert(_nodes, obj.get("defense", []), "'defense'", ConfigError),
         attack_set=_convert(_nodes, obj["attack"], "'attack'", ConfigError),
     )

@@ -135,7 +135,8 @@ class TestH2:
 
     @pytest.mark.parametrize(
         "field, value", [("law", "x"), ("gain", "abc"), ("attack", 1),
-                         ("law", 2.7), ("attack", [1.9]), ("defense", [0.5])]
+                         ("law", 2.7), ("attack", [1.9]), ("defense", [0.5]),
+                         ("gain", True), ("gain", "1e0")]
     )
     def test_malformed_config_is_validation_error(self, capsys, tmp_path, p3, field, value):
         cfg = tmp_path / "scenario.json"
@@ -171,8 +172,10 @@ class TestH2:
     "graph, field",
     [({"n": 2, "edges": [[0, 1.9]]}, "an 'edges' entry: [0, 1.9]"),
      ({"n": 2.9, "edges": [[0, 1.9], [True, 0]]}, "'n': 2.9"),
-     ({"n": True, "edges": [[0, 1]]}, "'n': True")],
-    ids=["edge-node-float", "n-float-and-edge-node-bool", "n-bool"],
+     ({"n": True, "edges": [[0, 1]]}, "'n': True"),
+     ({"n": 2, "edges": [[0, 1, True]]}, "an 'edges' entry: [0, 1, True]"),
+     ({"n": 2, "edges": [[0, 1, "2.5"]]}, "an 'edges' entry: [0, 1, '2.5']")],
+    ids=["edge-node-float", "n-float-and-edge-node-bool", "n-bool", "edge-weight-bool", "edge-weight-str"],
 )
 @pytest.mark.parametrize("command", ["centrality", "solve"])
 def test_non_integer_graph_is_validation_error(capsys, tmp_path, graph, field, command):

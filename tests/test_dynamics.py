@@ -47,9 +47,22 @@ class TestScenarioValidation:
     def test_law_from_int(self):
         assert ControlLaw.from_int(1) is ControlLaw.ABS_VELOCITY
         assert ControlLaw.from_int(2) is ControlLaw.REL_VELOCITY
+        assert all(ControlLaw.from_int(law) is law for law in ControlLaw)
         for value in (3, 2.0, 2.7, True, "2"):
             with pytest.raises(ConfigError, match=f"control law must be 1 or 2, got {value!r}"):
                 ControlLaw.from_int(value)
+
+    def test_plain_int_law_is_normalised(self):
+        s = Scenario(path_graph(3), 1, 1.0, (), (1,))
+        assert s.law is ControlLaw.ABS_VELOCITY
+        law1 = h2_closed_form(scenario(path_graph(3), ControlLaw.ABS_VELOCITY, 1.0, (), (1,)))
+        assert h2_closed_form(s) == law1
+        assert law1.constant == 0.0  # law 2 would carry f/2
+
+    @pytest.mark.parametrize("law", [3, True, 1.0])
+    def test_rejects_bad_law(self, law):
+        with pytest.raises(ConfigError, match="control law must be 1 or 2"):
+            Scenario(path_graph(3), law, 1.0, (1,), (1,))
 
     def test_rejects_non_integer_nodes(self):
         with pytest.raises(ConfigError, match=r"defense set must hold integer nodes, got \(0\.7,\)"):

@@ -41,6 +41,7 @@ from resgame.resistance import (
     GroundedSystem,
     effective_eccentricities,
     grounded_inverse_diag,
+    shifted_inverse,
 )
 
 from conftest import random_connected_graph
@@ -98,6 +99,17 @@ class TestSubsetIndex:
     def test_build_matrix_rejects_non_integer_budget(self, f, law):
         with pytest.raises(ConfigError, match=f"budget f must be an integer, got {re.escape(repr(f))}"):
             build_matrix(path_graph(3), 1.0, f, law)
+
+    def test_build_matrix_normalises_law(self):
+        # a plain 1 is law 1: value 1.0, not law 2's rows without its f/2
+        assert solve(build_matrix(path_graph(3), 1.0, 1, 1)).value == 1.0
+        assert build_matrix(path_graph(3), 1.0, 1, 2).law is LAW2
+        assert build_matrix(path_graph(3), 1.0, 1, LAW2).law is LAW2
+
+    @pytest.mark.parametrize("law", [3, 0, True, "2", 2.0])
+    def test_build_matrix_rejects_bad_law(self, law):
+        with pytest.raises(ConfigError, match=f"control law must be 1 or 2, got {re.escape(repr(law))}"):
+            build_matrix(path_graph(3), 1.0, 1, law)
 
 
 class TestPayoffs:
@@ -439,6 +451,33 @@ class TestCertifiedRows:
         games = [(random_connected_graph(rng, int(rng.integers(4, 12))), (0.2, 1.0, 5.0), (1, 2, 3))
                  for _ in range(8)]
         assert self._check(monkeypatch, games) == 72
+
+    def test_random_unit_weight_graphs_f4(self, rng, monkeypatch):
+        # the kernel is generic in f: four defenders, an f x f inverse per row
+        games = [(random_connected_graph(rng, int(rng.integers(5, 12))), (0.2, 1.0, 5.0), (4,))
+                 for _ in range(4)]
+        assert self._check(monkeypatch, games) == 12
+
+    def test_single_defender_rows_are_resistances(self, rng):
+        # f = 1, D = {v}: W̃[v] = (1/κ + R[v]) / 2, with R_vi = G_vv + G_ii - 2 G_vi from the same G
+        for _ in range(6):
+            g = random_connected_graph(rng, int(rng.integers(2, 30)))
+            big_g = shifted_inverse(g, float(degrees(g).max()))
+            d = np.diag(big_g)
+            for gain in (1e-3, 1.0, 1e3):
+                w, tau = build_matrix(g, gain, 1, LAW2).approx
+                assert 0.0 < tau
+                assert np.abs(w - 0.5 * (1.0 / gain + d[:, None] + d - 2.0 * big_g)).max() <= tau
+
+    def test_non_finite_low_rank_table_falls_back_to_exact_rows(self, rng, monkeypatch):
+        g = random_connected_graph(rng, 9)
+        expected = [(solve(m), predict_equilibrium(m)) for m in (self._exact(g, 1.0, f) for f in (1, 2, 3))]
+        monkeypatch.setattr(game_module, "shifted_inverse", lambda g, a: np.full((g.n, g.n), np.nan))
+        for f, answers in zip((1, 2, 3), expected):
+            m = build_matrix(g, 1.0, f, LAW2)
+            w, tau = m.approx
+            assert tau == 0.0 and w is m.rows
+            assert (solve(m), predict_equilibrium(m)) == answers
 
     def test_dense_ties(self, monkeypatch):
         # symmetric graphs: many rows share their largest payoff exactly

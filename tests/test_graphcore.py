@@ -17,6 +17,7 @@ from resgame.graphcore import (
     laplacian,
     node_set,
     path_graph,
+    real,
     star_graph,
 )
 
@@ -63,9 +64,10 @@ class TestGraphValidation:
 
     @pytest.mark.parametrize(
         "entry",
-        [(0, 1, 1.0, 5), (0,), (0, "x"), (0, 1.5), (0, 1, "heavy"), 5, (True, 0), {"i": 0, "j": 1}],
+        [(0, 1, 1.0, 5), (0,), (0, "x"), (0, 1.5), (0, 1, "heavy"), 5, (True, 0), {"i": 0, "j": 1},
+         (0, 1, True), (0, 1, "2.5"), (0, 1, 1 + 0j)],
         ids=["four-fields", "one-field", "str-node", "float-node", "str-weight", "not-a-sequence",
-             "bool-node", "mapping"],
+             "bool-node", "mapping", "bool-weight", "numeric-str-weight", "complex-weight"],
     )
     def test_rejects_malformed_edge_entry(self, entry):
         with pytest.raises(GraphError, match=f"bad edge entry {re.escape(repr(entry))}"):
@@ -88,6 +90,21 @@ class TestGraphValidation:
     def test_integer_rule_returns_a_python_int(self, value):
         got = integer(value)
         assert type(got) is int and got == value
+
+    @pytest.mark.parametrize(
+        "value", [True, np.True_, "2.5", "1e0", None, 1 + 0j, np.complex128(1.0)],
+        ids=["true", "np-bool", "str", "str-exponent", "none", "complex", "np-complex"],
+    )
+    def test_real_rule_rejects_non_reals(self, value):
+        with pytest.raises(ConfigError, match=re.escape(f"gain must be a real number, got {value!r}")):
+            real(value, "gain", ConfigError)
+
+    @pytest.mark.parametrize(
+        "value", [2.5, 0, -3, np.float64(2.5), np.float32(2.5), np.int64(7), np.uint8(7), float("nan")],
+    )
+    def test_real_rule_returns_a_python_float(self, value):
+        got = real(value)
+        assert type(got) is float and (got == value or got != got)
 
     @pytest.mark.parametrize(
         "nodes, problem",

@@ -73,10 +73,12 @@ class TestGraphParsing:
          ({"n": True, "edges": [[0, 1]]}, "'n': True"),
          ({"n": 2.0, "edges": [[0, 1]]}, "'n': 2.0"),
          ({"n": 2, "edges": [[True, 0]]}, "an 'edges' entry: [True, 0]"),
-         ({"n": 2, "edges": [{"i": 0, "j": 1}]}, "an 'edges' entry: {'i': 0, 'j': 1}")],
+         ({"n": 2, "edges": [{"i": 0, "j": 1}]}, "an 'edges' entry: {'i': 0, 'j': 1}"),
+         ({"n": 2, "edges": [[0, 1, True]]}, "an 'edges' entry: [0, 1, True]"),
+         ({"n": 2, "edges": [[0, 1, "2.5"]]}, "an 'edges' entry: [0, 1, '2.5']")],
         ids=["edge-not-a-list", "n-not-int", "edge-node-not-int", "edges-not-a-list",
              "edge-too-long", "edge-node-float", "n-float-and-edge-node-bool", "n-bool",
-             "n-float-2", "edge-node-bool", "edge-object"],
+             "n-float-2", "edge-node-bool", "edge-object", "edge-weight-bool", "edge-weight-str"],
     )
     def test_json_malformed_value_names_field(self, obj, field):
         with pytest.raises(GraphError, match=re.escape(f"bad value for {field}")):
@@ -134,7 +136,7 @@ class TestScenarioConfig:
         "key, value",
         [("law", "x"), ("gain", "abc"), ("gain", None), ("attack", 1), ("defense", ["a"]),
          ("law", 2.7), ("law", 2.0), ("law", True), ("attack", [1.9]), ("attack", [True]),
-         ("defense", [0.5]), ("defense", ["1"])],
+         ("defense", [0.5]), ("defense", ["1"]), ("gain", True), ("gain", "1e0")],
     )
     def test_malformed_value_names_field(self, key, value):
         obj = {"graph": {"n": 2, "edges": [[0, 1]]}, "law": 1, "gain": 1.0, "attack": [0]}
