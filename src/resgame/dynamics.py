@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .graphcore import Graph, integer, laplacian, node_set, positive_finite
+from .graphcore import Graph, integer, laplacian, node_set, positive_finite, real
 from .resistance import GroundedSystem, grounded_inverse_diag
 
 
@@ -51,6 +51,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "law", ControlLaw.from_int(self.law))
+        object.__setattr__(self, "gain", real(self.gain, "gain", ConfigError))
         object.__setattr__(self, "defense_set", node_set(self.defense_set, self.graph.n, "defense set"))
         object.__setattr__(self, "attack_set", node_set(self.attack_set, self.graph.n, "attack set"))
         if not positive_finite(self.gain):

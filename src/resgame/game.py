@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import ControlLaw, Scenario
 from .errors import ConfigError, EnumerationLimitError
-from .graphcore import Graph, degree_profile, degrees, integer, positive_finite
+from .graphcore import Graph, degree_profile, degrees, integer, positive_finite, real
 from .resistance import (
     GroundedSystem,
     _near_minima,
@@ -271,7 +271,7 @@ def _low_rank_rows(g: Graph, gain: float, defender_sets: np.ndarray) -> tuple[np
         sets = defender_sets[lo : lo + step]
         gd = big_g[sets]
         m = big_g[sets[:, :, None], sets[:, None, :]]
-        m.reshape(len(sets), f * f)[:, :: f + 1] += 1.0 / gain
+        m[:, range(f), range(f)] += 1.0 / gain
         m_inv = np.linalg.inv(m)
         a = m_inv @ gd
         p = np.einsum("ckn->cn", a)  # 1ᵀM⁻¹g_i
@@ -339,6 +339,7 @@ def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
     GameMatrix computes that table and the matrix on first use.
     """
     law = ControlLaw.from_int(law)
+    gain = real(gain, "gain", ConfigError)
     if not positive_finite(gain):
         raise ConfigError(f"gain must be positive and finite, got {gain}")
     index = SubsetIndex(g.n, f)
@@ -526,7 +527,7 @@ class SweepRow:
 
 def sweep_gain(g: Graph, f: int, law: ControlLaw, kappa_grid) -> list[SweepRow]:
     """Solve the game on each gain of the grid; NE when present, else Stackelberg."""
-    grid = [float(k) for k in kappa_grid]
+    grid = [real(k, "gain", ConfigError) for k in kappa_grid]
     if not grid:
         raise ConfigError("gain grid must be nonempty")
     if not all(map(positive_finite, grid)):

@@ -34,8 +34,6 @@ def integer(value, what: str = "value", error: type[ValueError] = GraphError) ->
 
 def real(value, what: str = "value", error: type[ValueError] = GraphError) -> float:
     """Any real number, NumPy's included, as a float; a bool, a string or a complex raises `error`."""
-    if type(value) is float:
-        return value
     if isinstance(value, (float, np.floating)) or type(value) is not bool and hasattr(value, "__index__"):
         return float(value)
     raise error(f"{what} must be a real number, got {value!r}")

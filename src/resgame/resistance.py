@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .graphcore import Graph, laplacian, node_set, positive_finite
+from .graphcore import Graph, laplacian, node_set, positive_finite, real
 
 # Relative eigenvalue cutoff for the Laplacian pseudoinverse; a connected
 # graph has exactly one zero mode.
@@ -106,9 +106,11 @@ class GroundedSystem:
         dset = node_set(self.defense_set, self.base.n, "defense set")
         if not dset:
             raise ConfigError("defense set must be nonempty for a grounded system")
-        if not positive_finite(self.gain):
-            raise ConfigError(f"gain must be positive and finite, got {self.gain}")
+        gain = real(self.gain, "gain", ConfigError)
+        if not positive_finite(gain):
+            raise ConfigError(f"gain must be positive and finite, got {gain}")
         object.__setattr__(self, "defense_set", dset)
+        object.__setattr__(self, "gain", gain)
         lbar = laplacian(self.base)
         for i in dset:
             lbar[i, i] += self.gain

@@ -64,6 +64,11 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="control law must be 1 or 2"):
             Scenario(path_graph(3), law, 1.0, (1,), (1,))
 
+    @pytest.mark.parametrize("gain", [True, "1e0", 1j])
+    def test_rejects_non_real_gain(self, gain):
+        with pytest.raises(ConfigError, match=r"gain must be a real number, got "):
+            Scenario(path_graph(3), 1, gain, (1,), (1,))
+
     def test_rejects_non_integer_nodes(self):
         with pytest.raises(ConfigError, match=r"defense set must hold integer nodes, got \(0\.7,\)"):
             Scenario(path_graph(3), ControlLaw.REL_VELOCITY, 1.0, (0.7,), (2.9,))

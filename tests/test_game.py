@@ -111,6 +111,20 @@ class TestSubsetIndex:
         with pytest.raises(ConfigError, match=f"control law must be 1 or 2, got {re.escape(repr(law))}"):
             build_matrix(path_graph(3), 1.0, 1, law)
 
+    @pytest.mark.parametrize("gain", [True, "1", 1j, None])
+    def test_build_matrix_and_sweep_reject_non_real_gain(self, gain):
+        # True would otherwise run as gain 1, a string fail deep inside
+        match = f"gain must be a real number, got {re.escape(repr(gain))}"
+        with pytest.raises(ConfigError, match=match):
+            build_matrix(path_graph(3), gain, 1, 2)
+        with pytest.raises(ConfigError, match=match):
+            sweep_gain(path_graph(3), 1, LAW1, [0.5, gain])
+
+    def test_build_matrix_normalises_gain(self):
+        for gain in (2, np.int64(2), np.float32(2.0)):
+            m = build_matrix(path_graph(3), gain, 1, 2)
+            assert type(m.gain) is float and m.gain == 2.0
+
 
 class TestPayoffs:
     def test_j1_degree_formula(self):

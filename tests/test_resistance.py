@@ -82,6 +82,15 @@ class TestGroundedSystem:
         with pytest.raises(ConfigError):
             GroundedSystem(path_graph(3), (0,), -1.0)
 
+    @pytest.mark.parametrize("gain", [True, "1", 1j])
+    def test_rejects_non_real_gain(self, gain):
+        with pytest.raises(ConfigError, match=r"gain must be a real number, got "):
+            GroundedSystem(path_graph(3), (0,), gain)
+
+    def test_gain_is_stored_as_float(self):
+        gs = GroundedSystem(path_graph(3), (0,), np.int64(2))
+        assert type(gs.gain) is float and gs.lbar[0, 0] == 3.0
+
     @pytest.mark.parametrize("dset", [(1.5,), (True,), (0, 0), (3,)], ids=["float", "bool", "duplicate", "range"])
     def test_rejects_bad_defense_set(self, dset):
         with pytest.raises(ConfigError, match="^defense set .*must"):
