@@ -14,7 +14,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -66,11 +65,14 @@ class SubsetIndex:
                 f"C({self.n},{self.f}) = {self.size} subsets exceeds the enumeration cap "
                 f"{cap} (override via {ENUM_CAP_ENV})"
             )
-        subsets = np.fromiter(
-            combinations(range(self.n), self.f),
-            dtype=np.dtype((np.intp, self.f)),
-            count=self.size,
-        )
+        subsets = np.arange(self.n - self.f + 1, dtype=np.intp)[:, None]
+        for top in range(self.n - self.f + 1, self.n):  # node k is at most n - f + k
+            counts = top - subsets[:, -1]  # a prefix's children add last + 1, ..., top
+            node = np.ones(counts.sum(), dtype=np.intp)  # node k as steps: +1 from sibling
+            node[np.cumsum(counts) - counts] = 1 - counts  # to sibling, top to last + 1 between
+            node[0] += top  # prefixes, and 0 to the first child's node at the start
+            subsets = np.repeat(subsets, counts, axis=0)  # parent level freed: peak ~2 x 8 N f bytes
+            subsets = np.column_stack((subsets, np.cumsum(node, out=node)))
         subsets.flags.writeable = False
         return subsets
 
@@ -203,13 +205,6 @@ class EquilibriumReport:
     gain_above_threshold: bool | None = None
 
 
-def _indicator(n: int, defender_sets: np.ndarray) -> np.ndarray:
-    """0/1 matrix with y[r, i] = 1 when node i is in row r of the (R, f) node array."""
-    y = np.zeros((len(defender_sets), n))
-    y[np.arange(len(defender_sets))[:, None], defender_sets] = 1.0
-    return y
-
-
 def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarray) -> np.ndarray:
     """Per-node attack costs W for the (R, f) node array of defender sets.
 
@@ -218,9 +213,10 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarr
     law 2 W[r] = diag(L_r^{-1})/2 with L_r the row's grounded Laplacian.
     """
     if law is ControlLaw.ABS_VELOCITY:
-        return 0.5 * (degrees(g) + 1.0)[None, :] / (
-            1.0 + gain * _indicator(g.n, defender_sets)
-        )
+        c = 0.5 * (degrees(g) + 1.0)  # c / (1 + kappa*0) is c: c / (1 + kappa y) bit for bit
+        w = np.tile(c, (len(defender_sets), 1))
+        w[np.arange(len(defender_sets))[:, None], defender_sets] = c[defender_sets] / (1.0 + gain)
+        return w
     w = np.empty((len(defender_sets), g.n))
     for r, sub in enumerate(defender_sets.tolist()):
         w[r] = 0.5 * grounded_inverse_diag(GroundedSystem(g, sub, gain))

@@ -72,8 +72,12 @@ def parse_graph_json(obj: dict) -> Graph:
         raise GraphError("graph JSON must be an object with 'n' and 'edges'")
     n = _convert(integer, obj["n"], "'n'", GraphError)
     entries = _convert(_list, obj["edges"], "'edges'", GraphError)
-    edges = tuple(_convert(_edge_entry, e, "an 'edges' entry", GraphError) for e in entries)
-    return Graph(n, edges)
+    try:
+        return Graph(n, entries)
+    except GraphError:  # a malformed entry is reported first, as a field of the JSON
+        for e in entries:
+            _convert(_edge_entry, e, "an 'edges' entry", GraphError)
+        raise
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -1,12 +1,18 @@
-"""The benchmark's law-2 solves, certified rows against the exact table, byte for byte.
+"""Benchmark tasks run two ways, byte for byte.
 
 benchmarks/workloads.py builds the benchmark's seeded task lists; it is
 only read here. A child interpreter, with BLAS on one thread as in the
-benchmark, runs each solve-law2 task of seed 0 through `resgame.cli.main`
-twice: once as shipped, deciding from the low-rank rows, and once with
-`build_matrix` returning games whose exact table is already set, which
-makes τ = 0. Both runs share one BLAS, so the two reports must be equal
-whatever the BLAS build.
+benchmark, runs seed-0 tasks through `resgame.cli.main` once per variant,
+all through one runner:
+- each solve-law2 task as shipped, deciding from the low-rank rows, and
+  with `build_matrix` returning games whose exact table is already set,
+  which makes τ = 0;
+- each sweep-law1 task and each law-1 export-matrix task as shipped, and
+  with `SubsetIndex.subsets` enumerated by `itertools.combinations` and
+  the law-1 `_payoff_rows` divided by 1 + κ·y with y the 0/1 indicator
+  matrix, the builds the array-op ones replaced.
+Both variants share one BLAS, so their reports must be equal whatever
+the BLAS build.
 """
 
 import json
@@ -15,51 +21,107 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import resgame
 
 ROOT = Path(__file__).resolve().parents[1]
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# Writes every task's two reports to <out>/<task id>-{certified,exact}.json
-# and prints the task ids as one JSON list.
+# Writes every task's report to <out>/<task id>-<variant><suffix> and
+# prints {workload: [task ids]} as one JSON line.
 _CHILD = """
-import importlib.util, json, sys
+import contextlib, importlib.util, itertools, json, sys
+from functools import cached_property
 from pathlib import Path
+from unittest import mock
+import numpy as np
 import resgame.game as game
 from resgame.cli import main
+from resgame.graphcore import degrees
 
 workloads_py, out = sys.argv[1], Path(sys.argv[2])
 spec = importlib.util.spec_from_file_location("benchmark_workloads", workloads_py)
 workloads = importlib.util.module_from_spec(spec)
 sys.modules[spec.name] = workloads  # its dataclasses look their module up
 spec.loader.exec_module(workloads)
-build = game.build_matrix
+build, payoff_rows = game.build_matrix, game._payoff_rows
 
 def exact_game(g, gain, f, law):
     m = build(g, gain, f, law)
-    vars(m)["rows"] = game._payoff_rows(g, gain, m.law, m.index.subsets)
+    vars(m)["rows"] = payoff_rows(g, gain, m.law, m.index.subsets)
     return m
 
-tasks = workloads.tasks("solve-law2", 0)
-for task, graph in zip(tasks, workloads.write_inputs(tasks, out)):
-    game.build_matrix = build
-    assert main(task.argv(graph, out / f"{task.id}-certified.json")) == 0, task.id
-    game.build_matrix = exact_game
-    assert main(task.argv(graph, out / f"{task.id}-exact.json")) == 0, task.id
-print(json.dumps([task.id for task in tasks]))
+def listed_subsets(self):
+    subsets = np.fromiter(itertools.combinations(range(self.n), self.f),
+                          dtype=np.dtype((np.intp, self.f)), count=self.size)
+    subsets.flags.writeable = False
+    return subsets
+
+listed = cached_property(listed_subsets)
+listed.__set_name__(game.SubsetIndex, "subsets")
+
+def indicator_rows(g, gain, law, sets):
+    if law is not game.ControlLaw.ABS_VELOCITY:
+        return payoff_rows(g, gain, law, sets)
+    y = np.zeros((len(sets), g.n))
+    y[np.arange(len(sets))[:, None], sets] = 1.0
+    return 0.5 * (degrees(g) + 1.0)[None, :] / (1.0 + gain * y)
+
+@contextlib.contextmanager
+def reference_builds():
+    with mock.patch.object(game.SubsetIndex, "subsets", listed), \\
+            mock.patch.object(game, "_payoff_rows", indicator_rows):
+        yield
+
+def run(workload, variants, keep=lambda task: True):
+    tasks = [task for task in workloads.tasks(workload, 0) if keep(task)]
+    for task, graph in zip(tasks, workloads.write_inputs(tasks, out)):
+        for name, variant in variants.items():
+            with variant():
+                code = main(task.argv(graph, out / f"{task.id}-{name}{task.out_suffix}"))
+            assert code == 0, (task.id, name)
+    return [task.id for task in tasks]
+
+shipped = contextlib.nullcontext
+print(json.dumps({
+    "solve-law2": run("solve-law2", {
+        "shipped": shipped, "reference": lambda: mock.patch.object(game, "build_matrix", exact_game)}),
+    "sweep-law1": run("sweep-law1", {"shipped": shipped, "reference": reference_builds}),
+    "export-matrix": run("export-matrix", {"shipped": shipped, "reference": reference_builds},
+                         keep=lambda task: task.meta["law"] == 1),
+}))
 """
 
 
-def test_solve_law2_reports_equal_the_exact_tables(tmp_path):
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """(directory, {workload: task ids}) of one child run of every variant."""
+    out = tmp_path_factory.mktemp("workload-reports")
     src = str(Path(resgame.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(ROOT / "benchmarks" / "workloads.py"), str(tmp_path)],
+        [sys.executable, "-c", _CHILD, str(ROOT / "benchmarks" / "workloads.py"), str(out)],
         env={**os.environ, **ONE_THREAD, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=300, check=True,
     )
-    ids = json.loads(child.stdout.splitlines()[-1])
-    assert len(ids) == 18
+    return out, json.loads(child.stdout.splitlines()[-1])
+
+
+def _assert_variants_equal(out: Path, ids: list[str]) -> None:
     for tid in ids:
-        certified = (tmp_path / f"{tid}-certified.json").read_bytes()
-        assert certified == (tmp_path / f"{tid}-exact.json").read_bytes(), tid
+        (shipped,) = out.glob(f"{tid}-shipped.*")
+        reference = shipped.with_name(shipped.name.replace("-shipped.", "-reference."))
+        assert shipped.read_bytes() == reference.read_bytes(), tid
+
+
+def test_solve_law2_reports_equal_the_exact_tables(reports):
+    out, ids = reports
+    assert len(ids["solve-law2"]) == 18
+    _assert_variants_equal(out, ids["solve-law2"])
+
+
+def test_law1_reports_equal_the_itertools_and_indicator_builds(reports):
+    out, ids = reports
+    assert (len(ids["sweep-law1"]), len(ids["export-matrix"])) == (15, 7)
+    _assert_variants_equal(out, ids["sweep-law1"] + ids["export-matrix"])

@@ -21,7 +21,6 @@ import resgame.game as game_module
 from resgame.game import (
     ENUM_CAP_ENV,
     SubsetIndex,
-    _indicator,
     find_nash,
     nash_threshold,
     payoff_j1,
@@ -63,6 +62,15 @@ def closed_form_entry_j1(g: Graph, gain: float, attack_set, defense_set) -> floa
     )
 
 
+def indicator(n: int, subsets) -> np.ndarray:
+    """0/1 matrix with y[r, i] = 1 when node i is in row r of the (R, f) node array."""
+    y = np.zeros((len(subsets), n))
+    for r, sub in enumerate(subsets):
+        for i in sub:
+            y[r, i] = 1.0
+    return y
+
+
 class TestSubsetIndex:
     def test_every_subset_once_in_lexicographic_order(self):
         idx = SubsetIndex(7, 3)
@@ -75,6 +83,28 @@ class TestSubsetIndex:
         assert idx.subsets is idx.subsets  # enumerated once
         assert not idx.subsets.flags.writeable
 
+    def test_equals_itertools_combinations(self):
+        for n in range(1, 13):
+            for f in range(1, n + 1):
+                idx = SubsetIndex(n, f)
+                subs = idx.subsets
+                assert subs.tolist() == [list(c) for c in combinations(range(n), f)], (n, f)
+                assert subs.dtype == np.intp and subs.shape == (math.comb(n, f), f)
+                assert not subs.flags.writeable and idx.subsets is subs
+
+    @pytest.mark.parametrize("n, f", [(40, 3), (20, 18)])
+    def test_enumeration_peak_memory(self, n, f):
+        # no intermediate outgrows the (N, f) result: n = 20, f = 18 would
+        # pass through C(20, 10) = 184,756 prefixes if dead ones were kept
+        idx = SubsetIndex(n, f)
+        tracemalloc.start()
+        try:
+            idx.subsets
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * idx.subsets.nbytes == 3 * 8 * math.comb(n, f) * f
+
     def test_lexicographic_order(self):
         idx = SubsetIndex(4, 2)
         assert idx.subset(0) == (0, 1)
@@ -85,8 +115,14 @@ class TestSubsetIndex:
         idx = SubsetIndex(2000, 3)
         assert idx.size == math.comb(2000, 3)
         assert "subsets" not in vars(idx)
-        with pytest.raises(EnumerationLimitError, match="enumeration cap"):
-            idx.subsets
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="enumeration cap"):
+                idx.subsets
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2000  # the cap is checked before any O(n) array exists
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ConfigError):
@@ -194,13 +230,15 @@ class TestPayoffs:
 
 class TestBuildMatrix:
     @pytest.mark.parametrize("n, f", [(1, 1), (5, 1), (6, 2), (7, 3), (8, 8)])
-    def test_indicator_equals_loop(self, n, f):
+    def test_indicator_equals_loop(self, rng, n, f):
+        # law-1 W is c / (1 + kappa y) bit for bit, with y the indicator written out
         subs = SubsetIndex(n, f).subsets
-        expected = np.zeros((len(subs), n))
-        for r, sub in enumerate(subs):
-            for i in sub:
-                expected[r, i] = 1.0
-        assert np.array_equal(_indicator(n, subs), expected)
+        for weighted in (False, True):
+            g = random_connected_graph(rng, n, weighted=weighted)
+            c = 0.5 * (degrees(g) + 1.0)
+            for gain in 10.0 ** np.arange(-8, 9):
+                expected = c[None, :] / (1.0 + gain * indicator(n, subs))
+                assert np.array_equal(game_module._payoff_rows(g, gain, LAW1, subs), expected)
 
     def test_p3_single_budget_matrix(self):
         m = build_matrix(path_graph(3), 0.5, 1, LAW1)
@@ -324,7 +362,7 @@ class TestNash:
                 w = np.minimum(w, v)
                 w[rng.random(len(subs)) < 0.5] = v
             m = self._seeded(n, f, law, w)
-            product = w @ _indicator(n, subs).T + (0.5 * f if law is LAW2 else 0.0)
+            product = w @ indicator(n, subs).T + (0.5 * f if law is LAW2 else 0.0)
             assert np.array_equal(m.values, product)
             saddle, count = self._first_saddle_by_scan(m.values)
             assert find_nash(m) == saddle
@@ -336,7 +374,7 @@ class TestMatrixFree:
     @staticmethod
     def _product(w, subs, f, law):
         """The indicator product rows @ y.T, plus f/2 in place for law 2."""
-        values = w @ _indicator(w.shape[1], subs).T
+        values = w @ indicator(w.shape[1], subs).T
         if law is LAW2:
             values += 0.5 * f
         return values
