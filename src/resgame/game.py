@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -88,10 +88,13 @@ class GameMatrix:
     Rows are defender subsets and columns attacker subsets, both in the
     lexicographic order of `index`. The per-node cost tables are computed
     on first use, so the enumeration cap is enforced there, not when the
-    game is built. The solvers decide from `approx` and read exact rows
-    through `exact_rows` only where `approx` cannot settle a comparison;
-    the exact table `rows` and the dense payoff matrix `values` are built
-    only when read. Use `build_matrix`, which validates the inputs.
+    game is built. A law-1 game without its exact table takes each row's
+    largest payoff from the 2f largest costs (`_law1_row_max`) and reads
+    one exact row. Otherwise the solvers decide from `approx` and read
+    exact rows through `exact_rows` only where `approx` cannot settle a
+    comparison. The exact table `rows` and the dense payoff matrix
+    `values` are built only when read. Use `build_matrix`, which
+    validates the inputs.
     """
 
     graph: Graph
@@ -164,6 +167,32 @@ class GameMatrix:
             done.update(zip(todo, _payoff_rows(self.graph, self.gain, self.law, self.index.subsets[todo])))
         return np.array([done[r] for r in ranks.tolist()]).reshape(len(ranks), self.graph.n)
 
+    @property
+    def _law1_direct(self) -> bool:
+        """A law-1 game without its exact table: the solvers read costs, not W."""
+        return self.law is ControlLaw.ABS_VELOCITY and "rows" not in vars(self)
+
+    def _law1_row_max(self) -> np.ndarray:
+        """Each law-1 row's largest payoff, the `_row_max` of W, in O(N f) with no N x n table.
+
+        Row D's entries are ĉ on D and c elsewhere. Let T be the 2f nodes
+        of largest c, or all n when n < 2f. At least f nodes of T are not
+        in D, and no node outside T has a larger c than they do. So D's f
+        largest entries, as a multiset, are the f largest of c on T's nodes
+        outside D and of ĉ on D, and `_cells` sums a multiset to the same
+        bits in any order.
+        """
+        c, c_hat = _law1_costs(self.graph, self.gain)
+        subsets = self.index.subsets
+        top = np.argsort(c)[-2 * self.f :]
+        slot = np.full(len(c), -1)
+        slot[top] = np.arange(len(top))
+        entries = np.concatenate((np.tile(c[top], (len(subsets), 1)), c_hat[subsets]), axis=1)
+        own = slot[subsets]  # where D's nodes sit in T, or -1
+        r, k = np.nonzero(own >= 0)
+        entries[r, own[r, k]] = -np.inf
+        return self._row_max(entries)
+
     def _row_max(self, w: np.ndarray) -> np.ndarray:
         """Each row's largest payoff: rounding is monotone, so its f largest entries by `_cells`."""
         f = self.f
@@ -184,11 +213,18 @@ class GameMatrix:
     def leader_row(self) -> tuple[int, np.ndarray]:
         """(r0, cells): the first row whose largest payoff is smallest, and its N exact payoffs.
 
-        Only the `_candidates` rows are compared, exactly, and only r0's cells are computed.
+        A law-1 game without its exact table reads r0 off the exact
+        `_law1_row_max` and builds row r0 alone. Otherwise only the
+        `_candidates` rows are compared, exactly. Only r0's cells are computed.
         """
-        ranks, exact = self._candidates
-        k = int(self._row_max(exact).argmin())
-        return int(ranks[k]), _cells(exact[k][self.index.subsets], self.law)
+        if self._law1_direct:
+            r0 = int(self._law1_row_max().argmin())
+            row = self.exact_rows(np.array([r0]))[0]
+        else:
+            ranks, exact = self._candidates
+            k = int(self._row_max(exact).argmin())
+            r0, row = int(ranks[k]), exact[k]
+        return r0, _cells(row[self.index.subsets], self.law)
 
 
 @dataclass(frozen=True)
@@ -205,6 +241,12 @@ class EquilibriumReport:
     gain_above_threshold: bool | None = None
 
 
+def _law1_costs(g: Graph, gain: float) -> tuple[np.ndarray, np.ndarray]:
+    """(c, ĉ): law-1 W's undefended entries c = (d+1)/2 and defended ones ĉ = c/(1+κ)."""
+    c = 0.5 * (degrees(g) + 1.0)
+    return c, c / (1.0 + gain)
+
+
 def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarray) -> np.ndarray:
     """Per-node attack costs W for the (R, f) node array of defender sets.
 
@@ -213,9 +255,9 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarr
     law 2 W[r] = diag(L_r^{-1})/2 with L_r the row's grounded Laplacian.
     """
     if law is ControlLaw.ABS_VELOCITY:
-        c = 0.5 * (degrees(g) + 1.0)  # c / (1 + kappa*0) is c: c / (1 + kappa y) bit for bit
+        c, c_hat = _law1_costs(g, gain)  # c / (1 + kappa*0) is c: c / (1 + kappa y) bit for bit
         w = np.tile(c, (len(defender_sets), 1))
-        w[np.arange(len(defender_sets))[:, None], defender_sets] = c[defender_sets] / (1.0 + gain)
+        w[np.arange(len(defender_sets))[:, None], defender_sets] = c_hat[defender_sets]
         return w
     w = np.empty((len(defender_sets), g.n))
     for r, sub in enumerate(defender_sets.tolist()):
@@ -353,19 +395,32 @@ def find_nash(m: GameMatrix) -> tuple[int, int, float] | None:
     r0 (`GameMatrix.leader_row`) and in the first column c with
     min_r cell(r, c) == upper, and every such c has cell(r0, c) == upper.
     Those candidates are filtered by their own row, the one defending
-    exactly c's nodes (a column's minimum is at most that cell), and then
-    their column minima are computed over all rows in rank order, a block
-    of about _BLOCK_CELLS cells at a time, stopping at the first that
-    equals upper. Cells are read from `approx`; a column whose approximate
-    minimum is within `margin` of upper is settled by the exact cells of
-    the rows it cannot tell from upper. No N x N matrix is built: memory
-    is O(N n), and time is O(N n) unless many candidates pass the filter
-    and fail.
+    exactly c's nodes: a column's minimum is at most that cell.
+
+    Law 1 without the exact table stops there, at the first candidate
+    whose own cell is at least upper. At each attacked node i a column's
+    own row holds ĉ_i = fl(c_i/(1+κ)) and every other row ĉ_i or c_i;
+    fl(1+κ) >= 1, so ĉ_i <= c_i, and rounded addition of sorted entries
+    is monotone. So a column's minimum is its own cell, in floating point
+    too, and this is the scan's answer in O(N f) time and memory.
+
+    Otherwise the column minima of the survivors are computed over all
+    rows in rank order, a block of about _BLOCK_CELLS cells at a time,
+    stopping at the first that equals upper. Cells are read from `approx`;
+    a column whose approximate minimum is within `margin` of upper is
+    settled by the exact cells of the rows it cannot tell from upper.
+    No N x N matrix is built: memory is O(N n), and time is O(N n) unless
+    many candidates pass the filter and fail.
     """
     r0, cells = m.leader_row
     upper = cells.max()
-    (w, _), margin, subsets = m.approx, m.margin, m.index.subsets
+    subsets = m.index.subsets
     candidates = np.flatnonzero(cells == upper)
+    if m._law1_direct:
+        _, c_hat = _law1_costs(m.graph, m.gain)
+        saddles = candidates[_cells(c_hat[subsets[candidates]], m.law) >= upper]
+        return (r0, int(saddles[0]), float(upper)) if len(saddles) else None
+    (w, _), margin = m.approx, m.margin
     own = _cells(w[candidates[:, None], subsets[candidates]], m.law)
     candidates = candidates[own >= upper - margin]
     step = max(1, _BLOCK_CELLS // len(w))
@@ -389,7 +444,8 @@ def stackelberg_defender_leader(m: GameMatrix) -> EquilibriumReport:
     """Defender commits to the row minimizing its worst column; ties by rank.
 
     The row is `GameMatrix.leader_row`'s r0 and the attacker its first
-    best column, found from W and row r0's N cells; no N x N matrix is built.
+    best column, found from the row maxima and row r0's N cells; no N x N
+    matrix is built.
     """
     r0, cells = m.leader_row
     c = int(cells.argmax())
@@ -522,15 +578,19 @@ class SweepRow:
 
 
 def sweep_gain(g: Graph, f: int, law: ControlLaw, kappa_grid) -> list[SweepRow]:
-    """Solve the game on each gain of the grid; NE when present, else Stackelberg."""
+    """Solve the game on each gain of the grid; NE when present, else Stackelberg.
+
+    The gains share one `SubsetIndex`, so the subsets are enumerated once.
+    """
     grid = [real(k, "gain", ConfigError) for k in kappa_grid]
     if not grid:
         raise ConfigError("gain grid must be nonempty")
     if not all(map(positive_finite, grid)):
         raise ConfigError("all grid gains must be positive and finite")
+    base = build_matrix(g, grid[0], f, law)  # one subset index for every gain
     rows = []
     for kappa in grid:
-        report = solve(build_matrix(g, kappa, f, law))
+        report = solve(replace(base, gain=kappa))
         rows.append(
             SweepRow(
                 kappa=kappa,

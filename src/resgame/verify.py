@@ -308,6 +308,14 @@ def check_payoff_structure(rng, trials, nmax, fault=None):
             moved = game.payoff_j1(g, kappa, attack, (others[0],))
             if abs(base - moved) != 0.0:
                 _fail("law1-defense-outside-attack-irrelevant", f"{base} vs {moved}")
+        # every law-1 column's minimum is its own row's cell, in floating
+        # point too, at any gain: the diagonal rule of `find_nash`
+        for f in (2, 3):
+            gain = float(10.0 ** rng.uniform(-20.0, 8.0))
+            if f <= n:
+                v = game.build_matrix(g, gain, f, ControlLaw.ABS_VELOCITY).values
+                if not np.array_equal(np.diag(v), v.min(axis=0)):
+                    _fail("law1-column-min-on-diagonal", f"f={f}, gain={gain}")
 
 
 def check_attack_monotonicity(rng, trials, nmax, fault=None):

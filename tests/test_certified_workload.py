@@ -10,7 +10,10 @@ all through one runner:
 - each sweep-law1 task and each law-1 export-matrix task as shipped, and
   with `SubsetIndex.subsets` enumerated by `itertools.combinations` and
   the law-1 `_payoff_rows` divided by 1 + κ·y with y the 0/1 indicator
-  matrix, the builds the array-op ones replaced.
+  matrix, the builds the array-op ones replaced;
+- each sweep-law1 task once more with every `GameMatrix` given its exact
+  table `rows` when it is made, so the solvers scan W's columns instead
+  of reading the costs.
 Both variants share one BLAS, so their reports must be equal whatever
 the BLAS build.
 """
@@ -68,6 +71,13 @@ def indicator_rows(g, gain, law, sets):
     y[np.arange(len(sets))[:, None], sets] = 1.0
     return 0.5 * (degrees(g) + 1.0)[None, :] / (1.0 + gain * y)
 
+def exact_tables():
+    init = game.GameMatrix.__init__
+    def exact_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        vars(self)["rows"] = payoff_rows(self.graph, self.gain, self.law, self.index.subsets)
+    return mock.patch.object(game.GameMatrix, "__init__", exact_init)
+
 @contextlib.contextmanager
 def reference_builds():
     with mock.patch.object(game.SubsetIndex, "subsets", listed), \\
@@ -87,7 +97,8 @@ shipped = contextlib.nullcontext
 print(json.dumps({
     "solve-law2": run("solve-law2", {
         "shipped": shipped, "reference": lambda: mock.patch.object(game, "build_matrix", exact_game)}),
-    "sweep-law1": run("sweep-law1", {"shipped": shipped, "reference": reference_builds}),
+    "sweep-law1": run("sweep-law1", {"shipped": shipped, "reference": reference_builds,
+                                     "exact": exact_tables}),
     "export-matrix": run("export-matrix", {"shipped": shipped, "reference": reference_builds},
                          keep=lambda task: task.meta["law"] == 1),
 }))
@@ -108,11 +119,11 @@ def reports(tmp_path_factory):
     return out, json.loads(child.stdout.splitlines()[-1])
 
 
-def _assert_variants_equal(out: Path, ids: list[str]) -> None:
+def _assert_variants_equal(out: Path, ids: list[str], variant: str = "reference") -> None:
     for tid in ids:
         (shipped,) = out.glob(f"{tid}-shipped.*")
-        reference = shipped.with_name(shipped.name.replace("-shipped.", "-reference."))
-        assert shipped.read_bytes() == reference.read_bytes(), tid
+        other = shipped.with_name(shipped.name.replace("-shipped.", f"-{variant}."))
+        assert shipped.read_bytes() == other.read_bytes(), tid
 
 
 def test_solve_law2_reports_equal_the_exact_tables(reports):
@@ -125,3 +136,9 @@ def test_law1_reports_equal_the_itertools_and_indicator_builds(reports):
     out, ids = reports
     assert (len(ids["sweep-law1"]), len(ids["export-matrix"])) == (15, 7)
     _assert_variants_equal(out, ids["sweep-law1"] + ids["export-matrix"])
+
+
+def test_law1_sweeps_equal_the_exact_table_scans(reports):
+    out, ids = reports
+    assert len(ids["sweep-law1"]) == 15
+    _assert_variants_equal(out, ids["sweep-law1"], "exact")

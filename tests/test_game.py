@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -47,6 +48,13 @@ from conftest import random_connected_graph
 
 LAW1 = ControlLaw.ABS_VELOCITY
 LAW2 = ControlLaw.REL_VELOCITY
+
+
+def exact_game(g: Graph, gain: float, f: int, law: ControlLaw):
+    """The game with its exact table `rows` already set: the solvers then scan W."""
+    m = build_matrix(g, gain, f, law)
+    vars(m)["rows"] = game_module._payoff_rows(g, gain, law, m.index.subsets)
+    return m
 
 
 def closed_form_entry_j1(g: Graph, gain: float, attack_set, defense_set) -> float:
@@ -435,16 +443,20 @@ class TestMatrixFree:
                 solve(m)
                 stackelberg_defender_leader(m)
                 predict_equilibrium(m)
-                # law 2 decides from the low-rank table, without the exact one
-                assert ("rows" in vars(m)) == (law is LAW1) and "values" not in vars(m)
-        built = []
-        monkeypatch.setattr(
-            game_module, "build_matrix", lambda *args: built.append(build_matrix(*args)) or built[-1]
-        )
+                # law 1 decides from the costs, law 2 from the low-rank table
+                assert "rows" not in vars(m) and "values" not in vars(m)
+        enumerated, solved = [], []
+        enumerate_subsets = vars(SubsetIndex)["subsets"].func
+        counted = cached_property(lambda index: enumerated.append(index) or enumerate_subsets(index))
+        counted.__set_name__(SubsetIndex, "subsets")
+        monkeypatch.setattr(SubsetIndex, "subsets", counted)
+        monkeypatch.setattr(game_module, "solve", lambda m: solved.append(m) or solve(m))
         for law in (LAW1, LAW2):
             sweep_gain(g, 2, law, [0.1, 1.0, 10.0])
-        assert len(built) == 6
-        assert all(("rows" in vars(m)) == (m.law is LAW1) and "values" not in vars(m) for m in built)
+        # one enumeration per sweep, shared by its three gains
+        assert len(enumerated) == 2 and len(solved) == 6
+        assert all(m.index is enumerated[k // 3] for k, m in enumerate(solved))
+        assert all("rows" not in vars(m) and "values" not in vars(m) for m in solved)
 
     @pytest.mark.parametrize("kind", ["random", "cycle"])
     def test_law1_solve_memory_at_the_cap(self, rng, kind):
@@ -458,11 +470,49 @@ class TestMatrixFree:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
-        assert "values" not in vars(m)
+        # the exact table W alone would be 11 MB
+        assert peak < 4 * 2**20
+        assert "rows" not in vars(m) and "values" not in vars(m)
         if kind == "cycle":
             assert rep == stackelberg_defender_leader(m)
             assert (rep.defender_set, rep.attacker_set, rep.value) == ((0, 1), (2, 3), 3.0)
+
+
+class TestLaw1FromCosts:
+    """Law-1 answers from the costs equal those of the exact table W, bit for bit.
+
+    A law-1 game takes its row maxima from the 2f largest costs and its
+    saddle from the diagonal; the same game with `rows` set scans W.
+    """
+
+    def test_equal_bits_to_the_exact_table(self, rng):
+        saddles = 0
+        for n in range(2, 11):
+            for f in range(1, n + 1):  # n < 2f included
+                for weighted in (False, True):
+                    g = random_connected_graph(rng, n)
+                    if weighted:
+                        g = Graph(n, tuple((i, j, float(np.exp(rng.uniform(-6, 6)))) for i, j, _ in g.edges))
+                    for gain in 10.0 ** rng.uniform(-20, 8, 3):
+                        m, exact = build_matrix(g, gain, f, LAW1), exact_game(g, gain, f, LAW1)
+                        assert m._law1_row_max().tobytes() == exact._row_max(exact.rows).tobytes()
+                        saddle = find_nash(m)
+                        assert saddle == find_nash(exact)
+                        assert solve(m) == solve(exact)
+                        assert stackelberg_defender_leader(m) == stackelberg_defender_leader(exact)
+                        (r0, cells), (r0_exact, cells_exact) = m.leader_row, exact.leader_row
+                        assert r0 == r0_exact and cells.tobytes() == cells_exact.tobytes()
+                        assert "rows" not in vars(m)
+                        saddles += saddle is not None
+        assert saddles > 50
+
+    def test_rounding_saddles_off_the_diagonal(self):
+        # 1 + 1e-20 rounds to 1: defended cells tie undefended ones, and the
+        # first saddle is off the diagonal, in row 0
+        for f, saddle in ((1, (0, 1, 1.5)), (2, (0, 4, 3.0))):
+            m = build_matrix(path_graph(5), 1e-20, f, LAW1)
+            assert find_nash(m) == find_nash(exact_game(path_graph(5), 1e-20, f, LAW1)) == saddle
+            assert "rows" not in vars(m)
 
 
 class TestCertifiedRows:
@@ -473,12 +523,6 @@ class TestCertifiedRows:
     which is the exact path. Reports are compared bit for bit.
     """
 
-    @staticmethod
-    def _exact(g, gain, f):
-        m = build_matrix(g, gain, f, LAW2)
-        vars(m)["rows"] = game_module._payoff_rows(g, gain, LAW2, m.index.subsets)
-        return m
-
     def _check(self, monkeypatch, games):
         """Compare solve, predict and sweep on each (graph, gains, budgets); count fast games."""
         fast = 0
@@ -486,7 +530,7 @@ class TestCertifiedRows:
             for f in budgets:
                 for gain in gains:
                     m = build_matrix(g, gain, f, LAW2)
-                    exact = self._exact(g, gain, f)
+                    exact = exact_game(g, gain, f, LAW2)
                     assert (solve(m), predict_equilibrium(m)) == (solve(exact), predict_equilibrium(exact))
                     w, tau = m.approx
                     if tau:
@@ -494,7 +538,8 @@ class TestCertifiedRows:
                         assert "rows" not in vars(m)
                         fast += 1
                 with monkeypatch.context() as patch:
-                    patch.setattr(game_module, "build_matrix", lambda g, gain, f, law: self._exact(g, gain, f))
+                    # every game the sweep solves, with its exact table
+                    patch.setattr(game_module, "solve", lambda m: solve(exact_game(m.graph, m.gain, m.f, m.law)))
                     expected = sweep_gain(g, f, LAW2, gains)
                 assert sweep_gain(g, f, LAW2, gains) == expected
         return fast
@@ -523,7 +568,7 @@ class TestCertifiedRows:
 
     def test_non_finite_low_rank_table_falls_back_to_exact_rows(self, rng, monkeypatch):
         g = random_connected_graph(rng, 9)
-        expected = [(solve(m), predict_equilibrium(m)) for m in (self._exact(g, 1.0, f) for f in (1, 2, 3))]
+        expected = [(solve(m), predict_equilibrium(m)) for m in (exact_game(g, 1.0, f, LAW2) for f in (1, 2, 3))]
         monkeypatch.setattr(game_module, "shifted_inverse", lambda g, a: np.full((g.n, g.n), np.nan))
         for f, answers in zip((1, 2, 3), expected):
             m = build_matrix(g, 1.0, f, LAW2)
