@@ -185,7 +185,7 @@ def cmd_matrix(args) -> int:
         "law": args.law,
         "gain": args.gain,
         "f": args.f,
-        "subsets": m.index.subsets.tolist(),
+        "subsets": m.index.subsets,
         "values": m.values,
     }
     _emit_json(report, args.out)

@@ -7,13 +7,16 @@ for game matrices and gain sweeps. See docs/formats.md.
 
 A report is a dict with str keys, rendered by `json_pieces`, whose
 pieces join to the text of json.dumps(report, indent=2, sort_keys=True);
-a payoff matrix goes in as its ndarray and is written one row at a time,
-in JSON and in CSV.
+a payoff matrix, or the array of subsets, goes in as its ndarray and is
+written one row at a time, in JSON and in CSV. A matrix whose first row
+repeats its values, as every law-1 payoff matrix does, has each distinct
+value formatted once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,7 +25,7 @@ import numpy as np
 
 from .dynamics import Scenario
 from .errors import ConfigError, GraphError
-from .game import GameMatrix, SweepRow
+from .game import _BLOCK_CELLS, GameMatrix, SweepRow
 from .graphcore import Graph, _edge_entry, integer, real
 
 
@@ -156,15 +159,58 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(obj, base_dir=path.parent)
 
 
-def _matrix_pieces(matrix: np.ndarray):
-    """A 2-D float array's text as a report value, as json.dumps writes .tolist(), a row a piece."""
-    head = "["
+def _bits(array: np.ndarray) -> np.ndarray:
+    """The array's bit patterns as unsigned integers of its own width: -0.0 and each nan apart."""
+    return array.view(f"u{array.itemsize}")
+
+
+def _repeats(matrix: np.ndarray) -> bool:
+    """Whether the first row of a 2-D array holds at most half as many distinct values as entries."""
+    return matrix.size > 0 and 2 * len(np.unique(_bits(matrix[0]))) <= matrix.shape[1]
+
+
+def _distinct_rows(matrix: np.ndarray, fmt):
+    """The rows of a 2-D array, each a list of fmt(x) for its entries x as .tolist() gives them.
+
+    Each distinct value is formatted once: the distinct bit patterns are
+    collected, and each row's texts are taken from theirs by searchsorted,
+    a block of about _BLOCK_CELLS cells at a time. So this needs O(N + k)
+    memory beyond the array for N columns and k distinct values, not O(N^2).
+    For matrices that pass `_repeats`; others are faster formatted entry by entry.
+    """
+    bits = _bits(matrix)
+    step = max(1, _BLOCK_CELLS // matrix.shape[1])
+    blocks = range(0, len(bits), step)
+    keys = functools.reduce(np.union1d, (np.unique(bits[lo : lo + step]) for lo in blocks))
+    texts = np.array(list(map(fmt, keys.view(matrix.dtype).tolist())), dtype=object)
+    for lo in blocks:
+        for row in texts[np.searchsorted(keys, bits[lo : lo + step])]:
+            yield row.tolist()
+
+
+_ROW_SEP = ",\n      "
+
+
+def _json_rows(matrix: np.ndarray):
+    """Each row's entries as json.dumps writes .tolist() in a report, joined by their separator."""
+    if _repeats(matrix):
+        for texts in _distinct_rows(matrix, json.dumps):
+            yield _ROW_SEP.join(texts)
+        return
+    fmt = int.__repr__ if matrix.dtype.kind in "iu" else float.__repr__
     for row in matrix:
         values = row.tolist()
-        text = ",\n      ".join(map(float.__repr__, values))
+        text = _ROW_SEP.join(map(fmt, values))
         if "n" in text:  # only the reprs of nan and inf hold an "n"
-            text = ",\n      ".join(map(json.dumps, values))
-        yield head + ("\n    [\n      " + text + "\n    ]" if values else "\n    []")
+            text = _ROW_SEP.join(map(json.dumps, values))
+        yield text
+
+
+def _matrix_pieces(matrix: np.ndarray):
+    """A 2-D float or integer array's text as a report value, as json.dumps writes .tolist(), a row a piece."""
+    head = "["
+    for text in _json_rows(matrix):
+        yield head + ("\n    [\n      " + text + "\n    ]" if text else "\n    []")
         head = ","
     yield "[]" if head == "[" else "\n  ]"
 
@@ -173,9 +219,10 @@ def json_pieces(report: dict):
     """The text of json.dumps(report, indent=2, sort_keys=True), in pieces.
 
     A report is a dict with str keys. Each value is json.dumps's own text,
-    indented two spaces, except a 2-D float ndarray, which is written as
-    its .tolist() would be, one row per piece, so a report holding an
-    N x N matrix needs O(N) memory beyond the array.
+    indented two spaces, except a 2-D float or integer ndarray, which is
+    written as its .tolist() would be, one row per piece, so a report
+    holding an N x N matrix needs O(N) memory beyond the array, or
+    O(N + k) when its k distinct values are formatted once (`_repeats`).
     """
     head = "{"
     for key in sorted(report):
@@ -218,10 +265,15 @@ def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
 
 def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
     """Matrix CSV with subset ranks and decoded node lists as headers."""
+    values = m.values  # before the file opens: a failed computation leaves no file
     subsets = m.index.subsets.tolist()
     headers = [f"{r}:{_decode_subset(sub)}" for r, sub in enumerate(subsets)]
+    if _repeats(values):
+        rows = _distinct_rows(values, repr)
+    else:
+        rows = (map(repr, row.tolist()) for row in values)
     with _open_out(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["defender\\attacker"] + headers)
-        for head, row in zip(headers, m.values):
-            writer.writerow([head, *map(repr, row.tolist())])
+        for head, cells in zip(headers, rows):
+            writer.writerow([head, *cells])

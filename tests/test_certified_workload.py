@@ -13,7 +13,10 @@ all through one runner:
   matrix, the builds the array-op ones replaced;
 - each sweep-law1 task once more with every `GameMatrix` given its exact
   table `rows` when it is made, so the solvers scan W's columns instead
-  of reading the costs.
+  of reading the costs;
+- each export-matrix task, both laws, JSON and CSV, once more with the
+  report written by json.dumps of each array's .tolist() and the CSV by
+  csv.writer with repr cells, renderers independent of scenario_io's.
 Both variants share one BLAS, so their reports must be equal whatever
 the BLAS build.
 """
@@ -34,12 +37,13 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 # Writes every task's report to <out>/<task id>-<variant><suffix> and
 # prints {workload: [task ids]} as one JSON line.
 _CHILD = """
-import contextlib, importlib.util, itertools, json, sys
+import contextlib, csv, importlib.util, itertools, json, sys
 from functools import cached_property
 from pathlib import Path
 from unittest import mock
 import numpy as np
 import resgame.game as game
+import resgame.scenario_io as scenario_io
 from resgame.cli import main
 from resgame.graphcore import degrees
 
@@ -84,6 +88,22 @@ def reference_builds():
             mock.patch.object(game, "_payoff_rows", indicator_rows):
         yield
 
+def plain_json(obj, path):
+    plain = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in obj.items()}
+    with open(path, "w", newline="") as fh:
+        fh.write(json.dumps(plain, indent=2, sort_keys=True) + "\\n")
+
+def plain_csv(m, path):
+    heads = [f"{r}:{'+'.join(map(str, sub))}" for r, sub in enumerate(m.index.subsets.tolist())]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["defender\\\\attacker"] + heads)
+        for head, row in zip(heads, m.values.tolist()):
+            writer.writerow([head] + [repr(x) for x in row])
+
+def plain_writers():
+    return mock.patch.multiple(scenario_io, write_json_report=plain_json, write_matrix_csv=plain_csv)
+
 def run(workload, variants, keep=lambda task: True):
     tasks = [task for task in workloads.tasks(workload, 0) if keep(task)]
     for task, graph in zip(tasks, workloads.write_inputs(tasks, out)):
@@ -101,6 +121,7 @@ print(json.dumps({
                                      "exact": exact_tables}),
     "export-matrix": run("export-matrix", {"shipped": shipped, "reference": reference_builds},
                          keep=lambda task: task.meta["law"] == 1),
+    "export-matrix-rendered": run("export-matrix", {"shipped": shipped, "rendered": plain_writers}),
 }))
 """
 
@@ -142,3 +163,12 @@ def test_law1_sweeps_equal_the_exact_table_scans(reports):
     out, ids = reports
     assert len(ids["sweep-law1"]) == 15
     _assert_variants_equal(out, ids["sweep-law1"], "exact")
+
+
+def test_matrix_exports_equal_json_dumps_and_csv_writer(reports):
+    out, ids = reports
+    exported = ids["export-matrix-rendered"]
+    assert len(exported) == 14
+    assert {tid.split("-", 3)[3] for tid in exported} == {
+        "law1-json", "law1-csv", "law2-json", "law2-csv"}
+    _assert_variants_equal(out, exported, "rendered")

@@ -363,6 +363,17 @@ class TestMatrixAndSolve:
                      "--f", "1", "--format", "csv", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0].startswith("defender\\attacker")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matrix_computation_error_writes_no_file(self, tmp_path, monkeypatch, p3, fmt):
+        def fail(*args):
+            raise resgame.ConvergenceError("no convergence")
+
+        monkeypatch.setattr(game, "_payoff_rows", fail)
+        out = tmp_path / f"m.{fmt}"
+        assert main(["matrix", "--graph", p3, "--law", "1", "--gain", "0.5",
+                     "--f", "1", "--format", fmt, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_enumeration_cap_is_computation_error(self, tmp_path, monkeypatch):
         lines = [f"{i} {i + 1}" for i in range(19)]
         path = tmp_path / "p20.txt"

@@ -21,8 +21,9 @@ from resgame import (
     load_scenario,
     sweep_gain,
 )
-from resgame.graphcore import path_graph
+from resgame.graphcore import complete_graph, path_graph
 from resgame.scenario_io import (
+    _repeats,
     graph_to_json,
     json_pieces,
     parse_graph_json,
@@ -198,15 +199,44 @@ class TestReports:
         cells = [line.split(",")[1:] for line in lines[1:]]
         assert [[float(c) for c in row] for row in cells] == m.values.tolist()
 
+    @pytest.mark.parametrize("law, graph, repeats", [
+        (1, "random", True), (2, "random", False), (2, "complete", True),
+    ], ids=["law1-random", "law2-random", "law2-k6"])
+    def test_matrix_csv_bytes_equal_csv_writer_of_reprs(self, tmp_path, rng, law, graph, repeats):
+        g = random_connected_graph(rng, 9) if graph == "random" else complete_graph(6)
+        m = build_matrix(g, 0.7, 2, law)
+        # law-1 payoffs, and those of a symmetric graph, repeat: each distinct value is formatted once
+        assert _repeats(m.values) is repeats
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(m, path)
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            heads = [f"{r}:{i}+{j}" for r, (i, j) in enumerate(m.index.subsets.tolist())]
+            writer.writerow(["defender\\attacker"] + heads)
+            for head, row in zip(heads, m.values.tolist()):
+                writer.writerow([head] + [repr(x) for x in row])
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
     def test_write_report_bad_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot write"):
             write_json_report({}, tmp_path / "nope" / "deep" / "report.json")
 
 
 _FLOATS = st.floats() | st.floats(allow_subnormal=True, max_value=1e-308, min_value=-1e-308)
-_MATRICES = hnp.arrays(
-    dtype=hnp.floating_dtypes(sizes=(32, 64)),
-    shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4),
+_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4)
+
+
+def _pooled(dtype: np.dtype):
+    """Arrays of `dtype` over a few values, so that rows repeat and each distinct value is formatted once."""
+    pool = [-0.0, 0.0, np.nan, np.inf, -np.inf, np.finfo(dtype).smallest_subnormal, 0.1]
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8),
+                      elements=st.sampled_from([dtype.type(x) for x in pool]))
+
+
+_MATRICES = (
+    hnp.arrays(dtype=hnp.floating_dtypes(sizes=(32, 64)), shape=_SHAPES)
+    | st.sampled_from([np.dtype(np.float32), np.dtype(np.float64)]).flatmap(_pooled)
+    | hnp.arrays(dtype=hnp.integer_dtypes() | hnp.unsigned_integer_dtypes(), shape=_SHAPES)
 )
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | _FLOATS | _FLOATS.map(np.float64) | st.text(),
@@ -215,7 +245,7 @@ _JSON = st.recursive(
     ),
     max_leaves=8,
 )
-# a report: str keys; each value plain JSON data or a 2-D float array
+# a report: str keys; each value plain JSON data or a 2-D float or integer array
 _REPORTS = st.dictionaries(st.text(), _JSON | _MATRICES, max_size=5)
 
 
@@ -246,3 +276,18 @@ class TestJsonRenderer:
         # beyond the 2.9 MB array: one row's floats and text, not the 7 MB report
         assert peak < 1_000_000
         assert json.loads(path.read_text())["values"] == values.tolist()
+
+    def test_law1_matrix_report_formats_distinct_values_once(self, rng):
+        # n = 64, f = 2: N = 2,016 subsets, 32 MB of values holding a few dozen distinct floats
+        m = build_matrix(random_connected_graph(rng, 64), 0.7, 2, ControlLaw.ABS_VELOCITY)
+        report = {"law": 1, "gain": 0.7, "f": 2, "subsets": m.index.subsets, "values": m.values}
+        assert _repeats(m.values)
+        tracemalloc.start()
+        try:
+            size = sum(map(len, json_pieces(report)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the array: one block of indices and texts and one row's text, not the ~100 MB report
+        assert peak < 1_000_000
+        assert size > 2016**2 * len(",\n      ")
