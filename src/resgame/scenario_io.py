@@ -10,7 +10,8 @@ pieces join to the text of json.dumps(report, indent=2, sort_keys=True);
 a payoff matrix, or the array of subsets, goes in as its ndarray and is
 written one row at a time, in JSON and in CSV. A matrix whose first row
 repeats its values, as every law-1 payoff matrix does, has each distinct
-value formatted once.
+value formatted once; any other float matrix has its entries written by a
+vectorised shortest-repr kernel wherever repr writes fixed notation.
 """
 
 from __future__ import annotations
@@ -188,6 +189,168 @@ def _distinct_rows(matrix: np.ndarray, fmt):
             yield row.tolist()
 
 
+# Cells per block of the shortest-repr kernel: its text buffer, 32 bytes a
+# cell, then stays below glibc's 128 KiB mmap threshold.
+_KERNEL_CELLS = 4000
+_U = np.uint64
+_LOW32 = _U(0xFFFFFFFF)
+
+
+@functools.cache
+def _repr_tables():
+    """The shortest-repr kernel's lookup tables, built on its first use.
+
+    5^j for j = 0..20; the 4 ASCII digits of each q < 10^4, packed
+    little-endian; the index of q's last nonzero digit (-99 for q = 0); and,
+    for each of the 3 words of a 24-digit string, the masks that keep its
+    digits lo..hi (entry 24 * lo + hi) and the words with a '.' at byte u.
+    """
+    pow5 = np.array([5**j for j in range(21)], dtype=_U)
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    last = np.where(digits.any(1), 3 - np.argmax(digits[:, ::-1] != 0, axis=1), -99).astype(np.int8)
+    quads = (digits + ord("0")).astype(np.uint8).view("<u4")[:, 0].astype(_U)
+    j = np.arange(24)
+    keep = (j[:, None, None] <= j) & (j <= j[None, :, None])  # [lo, hi, j]: lo <= j <= hi
+    masks = (255 * keep).astype(np.uint8).reshape(576, 3, 8).view("<u8")[..., 0].astype(_U)
+    dots = (ord(".") * (j[:, None] == j)).astype(np.uint8).reshape(24, 3, 8).view("<u8")[..., 0].astype(_U)
+    return pow5, quads, last, masks.T.copy(), dots.T.copy()
+
+
+def _in_fixed_range(block: np.ndarray) -> bool:
+    """Whether every entry is finite and 1e-4 <= |x| < 1e16: the floats repr writes in fixed notation."""
+    magnitude = np.abs(block, dtype=np.float64)
+    return bool(((magnitude >= 1e-4) & (magnitude < 1e16)).all())
+
+
+def _product(a: np.ndarray, b: np.ndarray):
+    """(low, high): the 64-bit limbs of a * b, for a < 2^56 and b < 2^47, from 32-bit halves."""
+    a1, a0, b1, b0 = a >> _U(32), a & _LOW32, b >> _U(32), b & _LOW32
+    low = a0 * b0
+    mid = a0 * b1 + a1 * b0 + (low >> _U(32))
+    return mid << _U(32) | low & _LOW32, a1 * b1 + (mid >> _U(32))
+
+
+def _interval(bits: np.ndarray):
+    """(lower, vb, upper, k) for floats x = +-c * 2^q with 1e-4 <= |x| < 1e16, from their bits.
+
+    k = floor(log10(2^q)), or of 3/4 * 2^q at a power of two, where the
+    gap below x is half the gap above. k lies in [-20, 0], so 10^-k is an
+    integer, and x and the ends of its rounding interval, times 4 * 10^-k,
+    are computed exactly, in two 64-bit limbs, and rounded to odd: vb, and
+    lower and upper, moved in by one when c is odd, since x's neighbours
+    then round to even and the interval is open.
+    """
+    c = bits & _U((1 << 52) - 1)
+    closer = c == 0
+    c |= _U(1 << 52)
+    q = (bits >> _U(52) & _U(0x7FF)).view(np.int64) - 1075
+    k = (q * 1262611 - closer * 524031) >> 22
+    p = _repr_tables()[0].take(-k)
+    shift = (k + 1 - q).view(_U)  # 4c * 2^q * 10^-k = (8c * 5^-k) >> shift, shift in [0, 47]
+    back = _U(64) - shift
+    lo, hi = _product(c << _U(3), p)
+
+    def round_to_odd(lo, hi):
+        return lo >> shift | hi << back | (lo << back != 0)
+
+    odd = c & _U(1)
+    step = p << _U(2)
+    up = lo + step
+    upper = round_to_odd(up, hi + (up < step)) - odd
+    step -= (p << _U(1)) * closer
+    lower = round_to_odd(lo - step, hi - (lo < step)) + odd
+    return lower, round_to_odd(lo, hi), upper, k
+
+
+def _shortest(bits: np.ndarray):
+    """(d, k): the shortest decimal d * 10^k that reads back as each float64, as float.__repr__ picks it.
+
+    Schubfach (Giulietti, "The Schubfach way to render doubles", 2020; cf.
+    Adams, "Ryu", PLDI 2018), for the bits of floats with 1e-4 <= |x| < 1e16.
+    Of the decimals in x's rounding interval, the one of length 10^(k+1),
+    if there is one, is the shortest; otherwise the nearer of the two of
+    length 10^k, ties to even. d < 10^17 and k lies in [-20, -1]: d * 10^0
+    is written (10d) * 10^-1.
+    """
+    lower, vb, upper, k = _interval(bits)
+    s = vb >> _U(2)
+    u_in, w_in = lower <= s << _U(2), (s << _U(2)) + _U(4) <= upper
+    half = (s << _U(2)) + _U(2)
+    d = s + np.where(u_in != w_in, w_in, (vb > half) | (vb == half) & (s & _U(1) != 0))
+    s //= _U(10)
+    u_in, w_in = lower <= s * _U(40), s * _U(40) + _U(40) <= upper
+    d = np.where(u_in != w_in, (s + w_in) * _U(10), d)
+    top = k == 0
+    return np.where(top, d * _U(10), d), k - top
+
+
+def _digit_words(d: np.ndarray):
+    """(words, end): d as 24 ASCII digits in 3 little-endian words, and the index of its last nonzero digit."""
+    _, quads, last, _, _ = _repr_tables()
+    q = []  # d's digits 20-23, 16-19, 12-15, 8-11 and 4-7, each read as a number below 10^4
+    for _ in range(5):
+        rest = d // _U(10_000)
+        q.append((d - rest * _U(10_000)).view(np.int64))
+        d = rest
+    end = np.maximum.reduce([last.take(x) + np.int8(20 - 4 * i) for i, x in enumerate(q)])
+    text = [quads.take(x) for x in q]
+    return (quads[0] | text[4] << _U(32), text[3] | text[2] << _U(32), text[1] | text[0] << _U(32)), end
+
+
+def _fixed_text(block: np.ndarray, sep: str) -> bytearray:
+    """The text of a 2-D float64 array that passes `_in_fixed_range`, with NULs among its bytes.
+
+    Each entry gets 32 bytes: its separator, or ';' before a row's first
+    entry, then its sign and the 24 digits of d, those up to the units digit
+    moved a byte down to make room for the '.'. Masks clear the digits
+    before the first significant or the units one and after the last
+    nonzero or the first fractional one, which leaves float.__repr__'s text.
+    """
+    _, _, _, masks, dots = _repr_tables()
+    bits = block.view(_U).ravel()
+    d, k = _shortest(bits)
+    unit = 23 + k  # the index of d's units digit among its 24
+    words, end = _digit_words(d)
+    whole = np.minimum(8 - (d >= _U(10**16)), unit) * 24 + unit  # d has 16 or 17 digits
+    fraction = (unit + 1) * 24 + np.maximum(end, unit + 1)
+    integer = [w & m.take(whole) for w, m in zip(words, masks)]
+    raw = bytearray(32 * len(bits))
+    out = np.frombuffer(raw, "<u8").reshape(-1, 4)
+    out[:, 0] = int.from_bytes(sep.encode(), "little")
+    out[:: block.shape[1], 0] = ord(";")
+    out[:, 1] = (words[0] & masks[0].take(fraction) | integer[0] >> _U(8) | integer[1] << _U(56)
+                 | dots[0].take(unit) | (bits >> _U(63)) * _U(0x2D00))
+    out[:, 2] = (words[1] & masks[1].take(fraction) | integer[1] >> _U(8) | integer[2] << _U(56)
+                 | dots[1].take(unit))
+    out[:, 3] = words[2] & masks[2].take(fraction) | integer[2] >> _U(8) | dots[2].take(unit)
+    return raw
+
+
+def _entry_rows(matrix: np.ndarray, sep: str, fmt):
+    """Each row's entries joined by sep, each as fmt (repr or json.dumps) writes it from .tolist().
+
+    A block of about _KERNEL_CELLS cells of a float16, float32 or float64
+    array whose entries repr writes in fixed notation goes through the
+    kernel, as float64, which holds them exactly; other blocks, and integer
+    arrays, are formatted entry by entry.
+    """
+    if matrix.dtype.kind in "iu":
+        yield from (sep.join(map(int.__repr__, row.tolist())) for row in matrix)
+        return
+    step = max(1, _KERNEL_CELLS // max(1, matrix.shape[1]))
+    for lo in range(0, len(matrix), step):
+        block = matrix[lo : lo + step]
+        if matrix.dtype.char in "efd" and block.size and _in_fixed_range(block):
+            text = _fixed_text(np.ascontiguousarray(block, np.float64), sep).translate(None, b"\0")
+            yield from text.decode("ascii").split(";")[1:]
+            continue
+        for values in block.tolist():
+            text = sep.join(map(float.__repr__, values))
+            if "n" in text:  # only the reprs of nan and inf hold an "n"
+                text = sep.join(map(fmt, values))
+            yield text
+
+
 _ROW_SEP = ",\n      "
 
 
@@ -197,13 +360,7 @@ def _json_rows(matrix: np.ndarray):
         for texts in _distinct_rows(matrix, json.dumps):
             yield _ROW_SEP.join(texts)
         return
-    fmt = int.__repr__ if matrix.dtype.kind in "iu" else float.__repr__
-    for row in matrix:
-        values = row.tolist()
-        text = _ROW_SEP.join(map(fmt, values))
-        if "n" in text:  # only the reprs of nan and inf hold an "n"
-            text = _ROW_SEP.join(map(json.dumps, values))
-        yield text
+    yield from _entry_rows(matrix, _ROW_SEP, json.dumps)
 
 
 def _matrix_pieces(matrix: np.ndarray):
@@ -269,11 +426,10 @@ def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
     subsets = m.index.subsets.tolist()
     headers = [f"{r}:{_decode_subset(sub)}" for r, sub in enumerate(subsets)]
     if _repeats(values):
-        rows = _distinct_rows(values, repr)
+        rows = map(",".join, _distinct_rows(values, repr))
     else:
-        rows = (map(repr, row.tolist()) for row in values)
+        rows = _entry_rows(values, ",", repr)
     with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["defender\\attacker"] + headers)
-        for head, cells in zip(headers, rows):
-            writer.writerow([head, *cells])
+        csv.writer(fh).writerow(["defender\\attacker"] + headers)
+        # a float's repr and a header hold nothing csv.writer would quote
+        fh.writelines(head + "," + text + "\r\n" for head, text in zip(headers, rows))

@@ -332,6 +332,42 @@ def test_law1_and_centrality_never_load_scipy(tmp_path):
     assert law2_code == 0 and after
 
 
+# Imports the CLI, runs the jobs {name: argv} with `resgame.cli.main`, then
+# one law-2 matrix export, and prints the exit codes and whether the repr
+# kernel's tables had been built after the import, the jobs and the export.
+_TABLES_CHILD = """
+import json, sys
+from resgame.cli import main
+from resgame.scenario_io import _repr_tables
+
+built = lambda: _repr_tables.cache_info().currsize > 0
+after_import = built()
+codes = {name: main(argv) for name, argv in json.loads(sys.argv[1]).items()}
+after_jobs = built()
+export = main(json.loads(sys.argv[2]))
+print(json.dumps([after_import, codes, after_jobs, export, built()]))
+"""
+
+
+def test_kernel_tables_are_built_only_by_a_matrix_export(tmp_path):
+    # the shortest-repr kernel's tables cost nothing at start-up or in
+    # commands that write no matrix: they are built by the first export
+    kite = str(GOLDEN / "kite.txt")
+    cases = ["solve-law1-f1.json", "solve-law2-f2.json", "sweep-law1-f1.csv", "sweep-law2-f2.json",
+             "h2-law1-oracle.json", "h2-law2-oracle.json"]
+    jobs = {name: [*CASES[name], "--graph", kite, "--out", str(tmp_path / name)] for name in cases}
+    export = [*CASES["matrix-law2-f2.json"], "--graph", kite, "--out", str(tmp_path / "matrix.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLES_CHILD, json.dumps(jobs), json.dumps(export)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    after_import, codes, after_jobs, export_code, after_export = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == {name: 0 for name in cases}
+    assert not after_import and not after_jobs
+    assert export_code == 0 and after_export
+
+
 def test_malformed_enum_cap_is_validation_error(capsys, monkeypatch, p3):
     monkeypatch.setenv("RESGAME_ENUM_CAP", "abc")
     assert main(["solve", "--graph", p3, "--law", "1", "--gain", "1", "--f", "1"]) == 1

@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 from dataclasses import asdict
+from itertools import compress
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -23,7 +24,13 @@ from resgame import (
 )
 from resgame.graphcore import complete_graph, path_graph
 from resgame.scenario_io import (
+    _KERNEL_CELLS,
+    _ROW_SEP,
+    _entry_rows,
+    _fixed_text,
+    _in_fixed_range,
     _repeats,
+    _repr_tables,
     graph_to_json,
     json_pieces,
     parse_graph_json,
@@ -233,9 +240,30 @@ def _pooled(dtype: np.dtype):
                       elements=st.sampled_from([dtype.type(x) for x in pool]))
 
 
+def _kernel_blocks(seed: int, dtype: type, shape: tuple[int, int], specials: list[tuple[int, str]]):
+    """Random values that repr writes in fixed notation, some replaced by values it does not."""
+    rng = np.random.default_rng(seed)
+    matrix = (10.0 ** rng.uniform(-4, 16, shape) * rng.choice([-1.0, 1.0], shape)).astype(dtype)
+    for position, name in specials:
+        value = np.finfo(dtype).smallest_subnormal if name == "subnormal" else float(name)
+        matrix.flat[position % matrix.size] = value
+    return matrix
+
+
+# matrices over more than one kernel block: several rows a block, or one row
+# wider than a block; some blocks hold entries routed entry by entry
+_BLOCKS = st.builds(
+    _kernel_blocks,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([(9, 600), (3, 1500), (2, _KERNEL_CELLS + 1), (_KERNEL_CELLS + 3, 1)]),
+    st.lists(st.tuples(st.integers(0, 2**32), st.sampled_from(
+        ["nan", "inf", "-inf", "-0.0", "subnormal", "1e-5", "1e16"])), max_size=3),
+)
 _MATRICES = (
-    hnp.arrays(dtype=hnp.floating_dtypes(sizes=(32, 64)), shape=_SHAPES)
+    hnp.arrays(dtype=hnp.floating_dtypes(sizes=(16, 32, 64)), shape=_SHAPES)
     | st.sampled_from([np.dtype(np.float32), np.dtype(np.float64)]).flatmap(_pooled)
+    | _BLOCKS
     | hnp.arrays(dtype=hnp.integer_dtypes() | hnp.unsigned_integer_dtypes(), shape=_SHAPES)
 )
 _JSON = st.recursive(
@@ -291,3 +319,54 @@ class TestJsonRenderer:
         # beyond the array: one block of indices and texts and one row's text, not the ~100 MB report
         assert peak < 1_000_000
         assert size > 2016**2 * len(",\n      ")
+
+    def test_law2_matrix_report_streams_kernel_blocks(self, rng):
+        # n = 64, f = 2: N = 2,016 subsets, 32 MB of values, all distinct and written by the kernel
+        m = build_matrix(random_connected_graph(rng, 64), 0.7, 2, ControlLaw.REL_VELOCITY)
+        report = {"law": 2, "gain": 0.7, "f": 2, "subsets": m.index.subsets, "values": m.values}
+        assert not _repeats(m.values) and _in_fixed_range(m.values)
+        _repr_tables()  # built once per process, not part of an export's working set
+        tracemalloc.start()
+        try:
+            size = sum(map(len, json_pieces(report)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the array: one block's arrays and text and one row's text, not the ~100 MB report
+        assert peak < 1_000_000
+        assert size > 2016**2 * len(",\n      ")
+
+
+def _corpus() -> np.ndarray:
+    """Float64 values for the shortest-repr kernel, both signs: random bit patterns and Schubfach's edge cases."""
+    rng = np.random.default_rng(20)
+    low, high = np.array([1e-4, 1e16]).view(np.uint64)
+    patterns = np.concatenate([
+        rng.integers(0, np.float64(np.inf).view(np.uint64), 250_000, dtype=np.uint64),  # every finite value
+        rng.integers(low, high, 750_000, dtype=np.uint64),  # those repr writes in fixed notation
+    ])
+    powers = np.ldexp(1.0, np.arange(-14, 55))  # the interval is asymmetric below a power of two
+    tens = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    edges = np.concatenate([powers, tens])
+    special = np.concatenate([
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+        (2**53 + np.arange(-3000, 3000)).astype(np.float64),
+        2.0**49 + np.arange(1, 6000, 2) * 0.25,  # halfway between two shortest decimals: ties to even
+        [0.1, 100.0, 123456.5, 1e15, 2.5, 0.25, 1024.0, 120.0, 5e-4, 9999999999999998.0],
+    ])
+    values = np.concatenate([patterns.view(np.float64), special])
+    return values * rng.choice([-1.0, 1.0], values.size)
+
+
+def test_kernel_equals_repr_and_json_dumps_on_corpus():
+    values = _corpus()
+    plain = values.tolist()
+    dumped = json.dumps(plain)[1:-1].split(", ")  # json.dumps's text of each entry
+    magnitude = np.abs(values)
+    fixed = (magnitude >= 1e-4) & (magnitude < 1e16)
+    texts = _fixed_text(values[fixed].reshape(-1, 1), ",").translate(None, b"\0").decode("ascii").split(";")[1:]
+    assert texts == [float.__repr__(x) for x in compress(plain, fixed)]
+    assert texts == list(compress(dumped, fixed))
+    # every value through the per-entry path, 100 a row: kernel blocks and blocks written entry by entry
+    rows = list(_entry_rows(values[: values.size // 100 * 100].reshape(-1, 100), _ROW_SEP, json.dumps))
+    assert rows == [_ROW_SEP.join(dumped[i : i + 100]) for i in range(0, 100 * len(rows), 100)]
