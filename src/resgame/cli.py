@@ -199,11 +199,7 @@ def cmd_solve(args) -> int:
     predicted = game.predict_equilibrium(m)
     report = asdict(solved)
     report["prediction"] = asdict(predicted)
-    report["prediction_match"] = (
-        predicted.kind != "none"
-        and predicted.value is not None
-        and abs(predicted.value - solved.value) <= 1e-9
-    )
+    report["prediction_match"] = abs(predicted.value - solved.value) <= 1e-9
     _emit_json(report, args.out)
     return 0
 

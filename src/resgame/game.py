@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import ControlLaw, Scenario
 from .errors import ConfigError, EnumerationLimitError
-from .graphcore import Graph, degree_profile, degrees, integer, positive_finite, real
+from .graphcore import Graph, degrees, integer, positive_finite, real
 from .resistance import (
     GroundedSystem,
     _near_minima,
@@ -231,10 +231,10 @@ class GameMatrix:
 class EquilibriumReport:
     """Solution of the game plus the centrality witness behind it."""
 
-    kind: str  # "nash" | "stackelberg_defender_leader" | "none"
+    kind: str  # "nash" | "stackelberg_defender_leader"
     defender_set: tuple[int, ...]
     attacker_set: tuple[int, ...]
-    value: float | None
+    value: float
     theorem: str | None = None
     witness: str | None = None
     threshold: float | None = None
@@ -434,10 +434,18 @@ def find_nash(m: GameMatrix) -> tuple[int, int, float] | None:
     return None
 
 
-def nash_threshold(g: Graph) -> float:
-    """Largest gain for which the single-budget law-1 game has a pure NE."""
-    prof = degree_profile(g)
-    return (prof.delta1 - prof.delta2) / (prof.delta2 + 1.0)
+def nash_threshold(g: Graph, f: int = 1) -> float:
+    """Largest gain for which the law-1 game with budget f has a pure NE.
+
+    With the degrees sorted δ_1 ≥ δ_2 ≥ ..., it is (δ_f − δ_{f+1})/(δ_{f+1} + 1):
+    the f largest costs, defended, stay at least the next one,
+    c₍f₎/(1 + κ) ≥ c₍f+1₎. math.inf when f = n, where the one cell is a saddle.
+    """
+    f = SubsetIndex(g.n, f).f
+    if f == g.n:
+        return math.inf
+    delta = np.sort(degrees(g))[::-1]
+    return float((delta[f - 1] - delta[f]) / (delta[f] + 1.0))
 
 
 def stackelberg_defender_leader(m: GameMatrix) -> EquilibriumReport:
@@ -471,73 +479,46 @@ def solve(m: GameMatrix) -> EquilibriumReport:
     return stackelberg_defender_leader(m)
 
 
-def _top_degree_nodes(d: np.ndarray, count: int, exclude=()) -> tuple[int, ...]:
-    banned = set(exclude)
-    order = sorted(
-        (i for i in range(len(d)) if i not in banned), key=lambda i: (-d[i], i)
-    )
-    return tuple(sorted(order[:count]))
-
-
 def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
-    """Closed-form equilibrium of the game m when a known hypothesis holds.
+    """Closed-form equilibrium of the game m from graph centralities.
 
-    Checks, in order: the degree-gap NE threshold and degree-leader result
-    (law 1, f = 1), the top-degrees result for large gains (law 1, f > 1),
-    the effective-center / tree-center result (law 2, f = 1), and the
-    virtual-node resistance min-max (law 2, f > 1). Returns kind "none"
-    when no hypothesis applies, signalling the matrix solver is needed.
-    Only the last enumerates subsets: it reads the candidate rows that
-    `GameMatrix.leader_row` reads, so it restates the brute-force solution
-    rather than predicting it independently.
+    Law 1, on any graph and for every gain and f, from `_law1_costs`, the
+    solvers' kernel: D is the f nodes of largest cost c = (d+1)/2, ties to
+    the smaller index, a best row; it holds ĉ = c/(1+κ) on D and c
+    elsewhere. The value is the `_cells` payoff of the row's f largest
+    entries, ties to the smaller index, which the attacker takes. Every
+    column's minimum is its own cell (see `find_nash`) and D's is the
+    largest, so (D, D) is a saddle iff attacking D reaches the value: that
+    is κ <= `nash_threshold(g, f)`, decided here on the rounded payoffs as
+    `solve` decides it. Theorems: degree-gap-nash (NE), degree-leader
+    (f = 1), top-degrees (f > 1); the threshold is reported for f < n.
+
+    Law 2: the effective-center / tree-center result (f = 1) and the
+    virtual-node resistance min-max (f > 1). Only the last enumerates
+    subsets: it reads the candidate rows that `GameMatrix.leader_row`
+    reads, so it restates the brute-force solution rather than predicting
+    it independently.
     """
     g, gain, f = m.graph, m.gain, m.f
-    no_prediction = EquilibriumReport(
-        kind="none", defender_set=(), attacker_set=(), value=None
-    )
     if m.law is ControlLaw.ABS_VELOCITY:
-        if not g.has_unit_weights:
-            return no_prediction
-        d = degrees(g)
-        prof = degree_profile(g)
-        if f == 1:
-            kbar = nash_threshold(g)
-            v = prof.argmax_nodes[0]
-            if gain <= kbar:
-                return EquilibriumReport(
-                    kind="nash",
-                    defender_set=(v,),
-                    attacker_set=(v,),
-                    value=(prof.delta1 + 1.0) / (2.0 * gain + 2.0),
-                    theorem="degree-gap-nash",
-                    witness="max-degree node",
-                    threshold=kbar,
-                    gain_above_threshold=False,
-                )
-            attacker = _top_degree_nodes(d, 1, exclude=(v,))
-            return EquilibriumReport(
-                kind="stackelberg_defender_leader",
-                defender_set=(v,),
-                attacker_set=attacker,
-                value=0.5 * (prof.delta2 + 1.0),
-                theorem="degree-leader",
-                witness="max-degree node",
-                threshold=kbar,
-                gain_above_threshold=True,
-            )
-        if g.n >= 2 * f and gain >= 0.5 * (f * prof.delta1 - 2.0):
-            defender = _top_degree_nodes(d, f)
-            attacker = _top_degree_nodes(d, f, exclude=defender)
-            value = 0.5 * (sum(d[i] for i in attacker) + f)
-            return EquilibriumReport(
-                kind="stackelberg_defender_leader",
-                defender_set=defender,
-                attacker_set=attacker,
-                value=float(value),
-                theorem="top-degrees",
-                witness="top-f-degree nodes",
-            )
-        return no_prediction
+        c, c_hat = _law1_costs(g, gain)
+        defender = np.sort(np.argsort(-c, kind="stable")[:f])
+        row = c.copy()
+        row[defender] = c_hat[defender]
+        attacker = np.sort(np.argsort(-row, kind="stable")[:f])
+        value = float(_cells(row[attacker], m.law))
+        nash = float(_cells(row[defender], m.law)) == value
+        kbar = nash_threshold(g, f)
+        return EquilibriumReport(
+            kind="nash" if nash else "stackelberg_defender_leader",
+            defender_set=tuple(defender.tolist()),
+            attacker_set=tuple((defender if nash else attacker).tolist()),
+            value=value,
+            theorem="degree-gap-nash" if nash else "degree-leader" if f == 1 else "top-degrees",
+            witness="max-degree node" if f == 1 else "top-f-degree nodes",
+            threshold=kbar if f < g.n else None,
+            gain_above_threshold=gain > kbar if f < g.n else None,
+        )
     # law 2
     if f == 1:
         rmat = resistance_matrix(g)

@@ -8,6 +8,7 @@ characterizations against brute-force solves.
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import deque
 
@@ -22,7 +23,7 @@ from .dynamics import (
     lyapunov_residual,
 )
 from .errors import ConfigError
-from .graphcore import Graph, center, degree_profile, distances, laplacian
+from .graphcore import Graph, center, distances, laplacian
 from .resistance import (
     GroundedSystem,
     effective_eccentricities,
@@ -233,24 +234,29 @@ def check_lyapunov_blocks(rng, trials, nmax, fault=None):
             _fail("lyapunov-block-residual", f"residual {res} on {s}")
 
 
-def check_degree_threshold_ne(rng, trials, nmax, fault=None):
-    for _ in range(trials):
-        n = int(rng.integers(3, nmax + 1))
-        g = random_connected_graph(rng, n)
-        kappa = float(rng.uniform(1e-6, 2.0))
-        m = game.build_matrix(g, kappa, 1, ControlLaw.ABS_VELOCITY)
+def check_law1_closed_form(rng, trials, nmax, fault=None):
+    # the law-1 predictor against the brute-force solve for f = 1-3 on unit
+    # and weighted graphs, with the gain on both sides of the NE threshold
+    for t in range(trials):
+        n = int(rng.integers(2, nmax + 1))
+        g = random_connected_graph(rng, n, weighted=bool(rng.integers(0, 2)))
+        f = int(rng.integers(1, min(3, n) + 1))
+        kbar = game.nash_threshold(g, f)
+        spread = float(10.0 ** rng.uniform(-3.0, 1.0))
+        if t % 2 == 0 and 0.0 < kbar < math.inf:
+            kappa = kbar / (1.0 + spread)
+        else:  # above the threshold, or any gain when f = n
+            kappa = spread + (kbar if kbar < math.inf else 0.0)
+        m = game.build_matrix(g, kappa, f, ControlLaw.ABS_VELOCITY)
         saddle = game.find_nash(m)
-        kbar = game.nash_threshold(g)
         if (saddle is not None) != (kappa <= kbar):
-            _fail(
-                "ne-exists-iff-degree-gap",
-                f"kappa={kappa}, kbar={kbar}, saddle={saddle}",
-            )
-        if saddle is not None:
-            prof = degree_profile(g)
-            expected = (prof.delta1 + 1.0) / (2.0 * kappa + 2.0)
-            if abs(saddle[2] - expected) > 1e-12:
-                _fail("ne-value-closed-form", f"{saddle[2]} vs {expected}")
+            _fail("ne-exists-iff-degree-gap", f"f={f}, kappa={kappa}, kbar={kbar}, saddle={saddle}")
+        rep, pred = game.solve(m), game.predict_equilibrium(m)
+        if (pred.kind, pred.value) != (rep.kind, rep.value):
+            _fail("law1-prediction-equals-solve", f"f={f}, kappa={kappa}: {pred} vs {rep}")
+        c = np.sort(game._law1_costs(g, kappa)[0])[::-1]
+        if (f == n or c[f - 1] > c[f]) and pred.defender_set != rep.defender_set:
+            _fail("law1-leader-row", f"f={f}, kappa={kappa}: {pred.defender_set} vs {rep.defender_set}")
 
 
 def check_law2_no_ne(rng, trials, nmax, fault=None):
@@ -261,25 +267,6 @@ def check_law2_no_ne(rng, trials, nmax, fault=None):
         m = game.build_matrix(g, kappa, 1, ControlLaw.REL_VELOCITY)
         if game.find_nash(m) is not None:
             _fail("law2-never-has-pure-ne", f"kappa={kappa}, edges={g.edges}")
-
-
-def check_degree_leader_value(rng, trials, nmax, fault=None):
-    done = 0
-    while done < trials:
-        n = int(rng.integers(3, nmax + 1))
-        g = random_connected_graph(rng, n)
-        prof = degree_profile(g)
-        if len(prof.argmax_nodes) != 1:
-            continue
-        done += 1
-        kappa = game.nash_threshold(g) + float(rng.uniform(0.01, 2.0))
-        m = game.build_matrix(g, kappa, 1, ControlLaw.ABS_VELOCITY)
-        rep = game.stackelberg_defender_leader(m)
-        expected = 0.5 * (prof.delta2 + 1.0)
-        if abs(rep.value - expected) > 1e-12:
-            _fail("degree-leader-value", f"{rep.value} vs {expected}")
-        if rep.defender_set != (prof.argmax_nodes[0],):
-            _fail("degree-leader-row", f"{rep.defender_set} vs {prof.argmax_nodes}")
 
 
 def check_payoff_structure(rng, trials, nmax, fault=None):
@@ -377,9 +364,8 @@ SUITES = [
     ("h2-oracle-law2", check_h2_oracle_law2),
     ("h2-oracle-law1-undefended", check_h2_oracle_law1_undefended),
     ("lyapunov-blocks", check_lyapunov_blocks),
-    ("degree-threshold-ne", check_degree_threshold_ne),
+    ("law1-closed-form", check_law1_closed_form),
     ("law2-no-ne", check_law2_no_ne),
-    ("degree-leader-value", check_degree_leader_value),
     ("payoff-structure", check_payoff_structure),
     ("attack-monotonicity", check_attack_monotonicity),
     ("center-predictions", check_center_predictions),

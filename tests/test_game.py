@@ -318,13 +318,19 @@ class TestNash:
     def test_threshold_value(self):
         assert nash_threshold(path_graph(3)) == pytest.approx(0.5, abs=1e-15)
         assert nash_threshold(star_graph(5)) == pytest.approx(1.5, abs=1e-15)
+        # degrees 3, 2, 2, 2, 1: (delta2 - delta3)/(delta3 + 1) = 0, then (2 - 1)/2
+        g = Graph(5, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (3, 4, 1.0)))
+        assert nash_threshold(g, 2) == 0.0 and nash_threshold(g, 4) == 0.5
+        assert nash_threshold(path_graph(3), 3) == math.inf
+        assert nash_threshold(Graph(1, ()), 1) == math.inf
 
     def test_existence_matches_threshold(self, rng):
-        for _ in range(50):
-            g = random_connected_graph(rng, int(rng.integers(3, 8)))
+        for k in range(150):
+            g = random_connected_graph(rng, int(rng.integers(3, 8)), weighted=bool(k % 2))
+            f = 1 + k % 3
             kappa = float(rng.uniform(1e-6, 2.0))
-            saddle = find_nash(build_matrix(g, kappa, 1, LAW1))
-            assert (saddle is not None) == (kappa <= nash_threshold(g))
+            saddle = find_nash(build_matrix(g, kappa, f, LAW1))
+            assert (saddle is not None) == (kappa <= nash_threshold(g, f))
 
     @staticmethod
     def _seeded(n, f, law, w):
@@ -623,16 +629,34 @@ class TestSolveAndPredict:
         assert rep.defender_set == (1,) and rep.value == pytest.approx(1.0)
 
     def test_prediction_matches_brute_force_law1(self, rng):
-        for _ in range(30):
-            g = random_connected_graph(rng, int(rng.integers(3, 8)))
-            kappa = float(rng.uniform(0.05, 2.5))
-            pred = predict_equilibrium(build_matrix(g, kappa, 1, LAW1))
-            rep = solve(build_matrix(g, kappa, 1, LAW1))
-            if pred.kind == "nash":
-                assert rep.kind == "nash"
-                assert rep.value == pytest.approx(pred.value, abs=1e-12)
-            elif pred.kind != "none":
-                assert rep.value == pytest.approx(pred.value, abs=1e-12)
+        for k in range(150):
+            g = random_connected_graph(rng, int(rng.integers(3, 8)), weighted=bool(k % 2))
+            f = 1 + k % 3
+            kappa = float(10.0 ** rng.uniform(-3.0, 1.0))
+            pred = predict_equilibrium(build_matrix(g, kappa, f, LAW1))
+            rep = solve(build_matrix(g, kappa, f, LAW1))
+            assert (pred.kind, pred.value) == (rep.kind, rep.value)
+            c = np.sort(game_module._law1_costs(g, kappa)[0])[::-1]
+            if f == g.n or c[f - 1] > c[f]:  # with c(f) = c(f+1) the sets may differ
+                assert (pred.defender_set, pred.attacker_set) == (rep.defender_set, rep.attacker_set)
+
+    def test_prediction_law1_at_the_edges(self):
+        # one node: the only cell is a saddle, 0.5/(1 + kappa)
+        pred = predict_equilibrium(build_matrix(Graph(1, ()), 1.0, 1, LAW1))
+        assert (pred.kind, pred.defender_set, pred.attacker_set, pred.value) == ("nash", (0,), (0,), 0.25)
+        assert pred.threshold is None and pred.gain_above_threshold is None
+        # f = n: every node defended and attacked
+        m = build_matrix(path_graph(3), 1.0, 3, LAW1)
+        pred, rep = predict_equilibrium(m), solve(m)
+        assert (pred.kind, pred.defender_set, pred.attacker_set, pred.value) == ("nash", (0, 1, 2), (0, 1, 2), 1.75)
+        assert (rep.kind, rep.value) == ("nash", 1.75) and pred.theorem == "degree-gap-nash"
+        # the gain is the threshold, 0.062499999999999986, but the defended hub's
+        # cost rounds to 0.7999999999999999 < 0.8: the payoffs decide, no saddle
+        g = Graph(3, ((0, 1, 0.1), (1, 2, 0.6)))
+        m = build_matrix(g, nash_threshold(g), 1, LAW1)
+        pred, rep = predict_equilibrium(m), solve(m)
+        assert (pred.kind, pred.defender_set, pred.attacker_set, pred.value) == (rep.kind, (1,), (2,), 0.8)
+        assert rep.kind == "stackelberg_defender_leader" and pred.gain_above_threshold is False
 
     def test_prediction_law1_top_degrees(self, rng):
         done = 0
@@ -723,10 +747,6 @@ class TestSolveAndPredict:
         pred = predict_equilibrium(m)
         assert (pred.defender_set, pred.attacker_set) == ((0, 1, 3), (0, 1, 3))
         assert pred.value == 13.367474353480135
-
-    def test_no_prediction_for_weighted_law1(self):
-        g = Graph(3, ((0, 1, 2.0), (1, 2, 1.0)))
-        assert predict_equilibrium(build_matrix(g, 1.0, 1, LAW1)).kind == "none"
 
 
 class TestSweep:

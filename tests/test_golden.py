@@ -25,8 +25,8 @@ import resgame
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# kite.txt: unit weights, unique max-degree node, NE threshold 1/3, so the
-# law-1 predictions apply; weighted.json: law-1 predictions return "none"
+# kite.txt: unit weights, unique max-degree node, NE threshold 1/3;
+# weighted.json: weighted degrees, which the law-1 predictions read alike
 GRAPHS = ("kite.txt", "weighted.json")
 
 CSV = ["--format", "csv"]
