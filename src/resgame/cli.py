@@ -18,8 +18,8 @@ import numpy as np
 from . import game, scenario_io
 from .dynamics import Scenario, h2_closed_form, h2_energy_oracle
 from .errors import ConfigError, ConvergenceError, EnumerationLimitError, GraphError
-from .graphcore import center, degree_profile, eccentricities
-from .resistance import effective_center, effective_eccentricities
+from .graphcore import degree_profile, eccentricities, near_minima
+from .resistance import effective_eccentricities
 from .verify import run_suites
 
 
@@ -120,16 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_centrality(args) -> int:
     graph = scenario_io.load_graph(args.graph)
     prof = degree_profile(graph)
+    ecc, eff = eccentricities(graph), effective_eccentricities(graph)
     report = {
         "n": graph.n,
         "degrees": prof.degrees.tolist(),
         "delta1": prof.delta1,
         "delta2": prof.delta2,
         "max_degree_nodes": list(prof.argmax_nodes),
-        "eccentricities": eccentricities(graph).tolist(),
-        "center": list(center(graph)),
-        "effective_eccentricities": effective_eccentricities(graph).tolist(),
-        "effective_center": list(effective_center(graph)),
+        "eccentricities": ecc.tolist(),
+        "center": list(near_minima(ecc)),
+        "effective_eccentricities": eff.tolist(),
+        "effective_center": list(near_minima(eff)),
     }
     _emit_json(report, args.out)
     return 0

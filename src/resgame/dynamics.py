@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .graphcore import Graph, integer, laplacian, node_set, positive_finite, real
+from .graphcore import Graph, checked_gain, integer, laplacian, node_set
 from .resistance import GroundedSystem, grounded_inverse_diag
 
 
@@ -39,6 +39,26 @@ class ControlLaw(enum.Enum):
             raise ConfigError(f"control law must be 1 or 2, got {value!r}")
 
 
+def _cells(entries: np.ndarray, law: ControlLaw) -> np.ndarray:
+    """Payoffs from the per-node costs of the attacked nodes, on the last axis.
+
+    The one summation rule of the H2 closed form and of every game payoff:
+    the f entries are added in ascending order of value, then f/2 is added
+    for law 2. For f <= 2 the order cannot change the rounded sum, so the
+    entries are not sorted, and a cell equals the indicator product
+    rows @ y.T plus f/2 bit for bit.
+    """
+    f = entries.shape[-1]
+    if f > 2:
+        entries = np.sort(entries, axis=-1)
+    total = entries[..., 0]
+    for k in range(1, f):
+        total = total + entries[..., k]
+    if law is ControlLaw.REL_VELOCITY:
+        total = total + 0.5 * f
+    return total
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One attacked-network instance: graph, law, gain, and node sets."""
@@ -51,11 +71,9 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "law", ControlLaw.from_int(self.law))
-        object.__setattr__(self, "gain", real(self.gain, "gain", ConfigError))
+        object.__setattr__(self, "gain", checked_gain(self.gain))
         object.__setattr__(self, "defense_set", node_set(self.defense_set, self.graph.n, "defense set"))
         object.__setattr__(self, "attack_set", node_set(self.attack_set, self.graph.n, "attack set"))
-        if not positive_finite(self.gain):
-            raise ConfigError(f"gain must be positive and finite, got {self.gain}")
         if not self.attack_set:
             raise ConfigError("attack set must be nonempty")
         if self.law is ControlLaw.REL_VELOCITY and not self.defense_set:
@@ -70,8 +88,9 @@ class Scenario:
 class H2Result:
     """Squared H2 norm with its per-attacked-node breakdown.
 
-    value_sq == constant + sum(per_node.values()); constant carries the
-    f/2 term of law 2 for the closed form and is zero otherwise.
+    value_sq is constant (f/2 for the law-2 closed form, else zero) plus
+    per_node summed by `_cells` for the closed form, so a law-2 value is
+    the game's payoff cell bit for bit, or summed plainly for the oracle.
     diagnostics is filled by the energy oracle (see h2_energy_oracle) and
     empty for the closed form.
     """
@@ -151,7 +170,8 @@ def h2_closed_form(s: Scenario) -> H2Result:
     _LYAPUNOV_TOL (1e-6), as it does on the defended 3-path from gain 1e10
     on, where the solve loses the value.
     Law 2: f/2 plus half the grounded-inverse diagonal at attacked nodes.
-    Either law raises ConvergenceError for a negative value.
+    Either law sums its per-node costs with `_cells`, the game's rule, and
+    raises ConvergenceError for a negative value.
     """
     if s.law is ControlLaw.ABS_VELOCITY:
         u, q, residual = _law1_gramian(s)
@@ -171,7 +191,7 @@ def h2_closed_form(s: Scenario) -> H2Result:
         )
         per_node = {i: 0.5 * float(gdiag[i]) for i in s.attack_set}
         constant = 0.5 * s.budget
-    value_sq = constant + sum(per_node.values())
+    value_sq = float(_cells(np.array(list(per_node.values())), s.law))
     if value_sq < 0:
         raise ConvergenceError(f"closed-form H2^2 is negative: {value_sq:.3g}")
     return H2Result(value_sq=value_sq, per_node=per_node, constant=constant)

@@ -17,16 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import ControlLaw, Scenario
+from .dynamics import ControlLaw, Scenario, _cells
 from .errors import ConfigError, EnumerationLimitError
-from .graphcore import Graph, degrees, integer, positive_finite, real
-from .resistance import (
-    GroundedSystem,
-    _near_minima,
-    grounded_inverse_diag,
-    resistance_matrix,
-    shifted_inverse,
-)
+from .graphcore import Graph, checked_gain, degrees, integer, near_minima
+from .resistance import GroundedSystem, grounded_inverse_diag, resistance_matrix, shifted_inverse
 
 DEFAULT_ENUM_CAP = 10_000
 ENUM_CAP_ENV = "RESGAME_ENUM_CAP"
@@ -199,29 +193,21 @@ class GameMatrix:
         return _cells(np.partition(w, w.shape[1] - f, axis=1)[:, -f:], self.law)
 
     @cached_property
-    def _candidates(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ranks, rows): the ranks that may hold the least largest payoff, and their exact rows.
-
-        They are the ranks whose `approx` largest payoff is within `margin`
-        of the least, so every rank whose exact one is the least is among them.
-        """
-        scores = self._row_max(self.approx[0])
-        ranks = np.flatnonzero(scores <= scores.min() + self.margin)
-        return ranks, self.exact_rows(ranks)
-
-    @cached_property
     def leader_row(self) -> tuple[int, np.ndarray]:
         """(r0, cells): the first row whose largest payoff is smallest, and its N exact payoffs.
 
         A law-1 game without its exact table reads r0 off the exact
-        `_law1_row_max` and builds row r0 alone. Otherwise only the
-        `_candidates` rows are compared, exactly. Only r0's cells are computed.
+        `_law1_row_max` and builds row r0 alone. Otherwise it compares the
+        exact rows of the ranks whose `approx` largest payoff is within
+        `margin` of the least, which hold every exact least. Only r0's cells are computed.
         """
         if self._law1_direct:
             r0 = int(self._law1_row_max().argmin())
             row = self.exact_rows(np.array([r0]))[0]
         else:
-            ranks, exact = self._candidates
+            scores = self._row_max(self.approx[0])
+            ranks = np.flatnonzero(scores <= scores.min() + self.margin)
+            exact = self.exact_rows(ranks)
             k = int(self._row_max(exact).argmin())
             r0, row = int(ranks[k]), exact[k]
         return r0, _cells(row[self.index.subsets], self.law)
@@ -329,25 +315,6 @@ def _low_rank_rows(g: Graph, gain: float, defender_sets: np.ndarray) -> tuple[np
 _BLOCK_CELLS = 1 << 14
 
 
-def _cells(entries: np.ndarray, law: ControlLaw) -> np.ndarray:
-    """Payoffs from the W entries of a row at the attacked nodes, on the last axis.
-
-    The game's one summation rule: the f entries are added in ascending
-    order of value, then f/2 is added for law 2. For f <= 2 the order
-    cannot change the rounded sum, so the entries are not sorted, and a
-    cell equals the indicator product rows @ y.T plus f/2 bit for bit.
-    """
-    f = entries.shape[-1]
-    if f > 2:
-        entries = np.sort(entries, axis=-1)
-    total = entries[..., 0]
-    for k in range(1, f):
-        total = total + entries[..., k]
-    if law is ControlLaw.REL_VELOCITY:
-        total = total + 0.5 * f
-    return total
-
-
 def _payoff(g: Graph, gain: float, law: ControlLaw, attack_set, defense_set) -> float:
     """One cell: the attack set's payoff against the defense set, by the `_cells` rule.
 
@@ -377,9 +344,7 @@ def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
     GameMatrix computes that table and the matrix on first use.
     """
     law = ControlLaw.from_int(law)
-    gain = real(gain, "gain", ConfigError)
-    if not positive_finite(gain):
-        raise ConfigError(f"gain must be positive and finite, got {gain}")
+    gain = checked_gain(gain)
     index = SubsetIndex(g.n, f)
     return GameMatrix(graph=g, law=law, gain=gain, f=index.f, index=index)
 
@@ -495,16 +460,15 @@ def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
 
     Law 2: the effective-center / tree-center result (f = 1) and the
     virtual-node resistance min-max (f > 1). Only the last enumerates
-    subsets: it reads the candidate rows that `GameMatrix.leader_row`
-    reads, so it restates the brute-force solution rather than predicting
-    it independently.
+    subsets: its defender and value are the solver's `leader_row`, its
+    attacker that row's f largest entries (stable ties), so it restates
+    the brute-force solution rather than predicting it independently.
     """
     g, gain, f = m.graph, m.gain, m.f
     if m.law is ControlLaw.ABS_VELOCITY:
-        c, c_hat = _law1_costs(g, gain)
+        c, _ = _law1_costs(g, gain)
         defender = np.sort(np.argsort(-c, kind="stable")[:f])
-        row = c.copy()
-        row[defender] = c_hat[defender]
+        row = _payoff_rows(g, gain, m.law, defender[None])[0]
         attacker = np.sort(np.argsort(-row, kind="stable")[:f])
         value = float(_cells(row[attacker], m.law))
         nash = float(_cells(row[defender], m.law)) == value
@@ -523,7 +487,7 @@ def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
     if f == 1:
         rmat = resistance_matrix(g)
         ecc = rmat.max(axis=1)  # effective eccentricities
-        v = _near_minima(ecc)[0]  # the first node of the effective center
+        v = near_minima(ecc)[0]  # the first node of the effective center
         attacker = int(rmat[v].argmax())
         on_tree = g.is_tree and g.has_unit_weights
         return EquilibriumReport(
@@ -534,16 +498,14 @@ def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
             theorem="tree-center" if on_tree else "effective-center",
             witness="graph center" if on_tree else "effective center",
         )
-    # each candidate row's f worst nodes (stable ties), summed in node order
-    ranks, w = m._candidates
-    top = np.sort(np.argsort(-w, axis=1, kind="stable")[:, :f], axis=1)
-    worst = sum(w[np.arange(len(w)), top[:, k]] for k in range(f))
-    r = int(worst.argmin())
+    # the solver's leader row; the attacker takes its f worst nodes (stable ties)
+    r0, cells = m.leader_row
+    row = m.exact_rows(np.array([r0]))[0]
     return EquilibriumReport(
         kind="stackelberg_defender_leader",
-        defender_set=m.index.subset(int(ranks[r])),
-        attacker_set=tuple(top[r].tolist()),
-        value=0.5 * f + float(worst[r]),
+        defender_set=m.index.subset(r0),
+        attacker_set=tuple(np.sort(np.argsort(-row, kind="stable")[:f]).tolist()),
+        value=float(cells.max()),
         theorem="resistance-minimax",
         witness="min-max virtual-node resistance set",
     )
@@ -563,11 +525,9 @@ def sweep_gain(g: Graph, f: int, law: ControlLaw, kappa_grid) -> list[SweepRow]:
 
     The gains share one `SubsetIndex`, so the subsets are enumerated once.
     """
-    grid = [real(k, "gain", ConfigError) for k in kappa_grid]
+    grid = [checked_gain(k) for k in kappa_grid]
     if not grid:
         raise ConfigError("gain grid must be nonempty")
-    if not all(map(positive_finite, grid)):
-        raise ConfigError("all grid gains must be positive and finite")
     base = build_matrix(g, grid[0], f, law)  # one subset index for every gain
     rows = []
     for kappa in grid:

@@ -39,6 +39,14 @@ def real(value, what: str = "value", error: type[ValueError] = GraphError) -> fl
     raise error(f"{what} must be a real number, got {value!r}")
 
 
+def checked_gain(value) -> float:
+    """The one gain rule: a real number with 0 < gain < inf, as a float; else a ConfigError."""
+    gain = real(value, "gain", ConfigError)
+    if not positive_finite(gain):
+        raise ConfigError(f"gain must be positive and finite, got {gain}")
+    return gain
+
+
 def node_set(nodes, n: int, what: str) -> tuple[int, ...]:
     """A strategy's nodes, sorted, distinct and in [0, n); else a ConfigError naming `what`."""
     try:
@@ -222,10 +230,15 @@ def eccentricities(g: Graph) -> np.ndarray:
     return distances(g).max(axis=1)
 
 
+def near_minima(ecc: np.ndarray) -> tuple[int, ...]:
+    """The centers' tie rule: nodes within 1e-12·|min| of the least eccentricity, at any weight scale."""
+    low = ecc.min()
+    return tuple(int(i) for i in np.flatnonzero(ecc <= low + 1e-12 * abs(low)))
+
+
 def center(g: Graph) -> tuple[int, ...]:
     """Nodes of minimum hop eccentricity."""
-    ecc = eccentricities(g)
-    return tuple(int(i) for i in np.flatnonzero(ecc == ecc.min()))
+    return near_minima(eccentricities(g))
 
 
 def path_graph(n: int) -> Graph:

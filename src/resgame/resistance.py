@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .graphcore import Graph, laplacian, node_set, positive_finite, real
+from .graphcore import Graph, checked_gain, laplacian, near_minima, node_set
 
 # Relative eigenvalue cutoff for the Laplacian pseudoinverse; a connected
 # graph has exactly one zero mode.
@@ -85,12 +85,7 @@ def effective_eccentricities(g: Graph) -> np.ndarray:
 
 def effective_center(g: Graph) -> tuple[int, ...]:
     """Nodes of minimum effective eccentricity (resistance analogue of center)."""
-    return _near_minima(effective_eccentricities(g))
-
-
-def _near_minima(ecc: np.ndarray) -> tuple[int, ...]:
-    """Nodes whose eccentricity is within 1e-12 of the minimum (the tie rule)."""
-    return tuple(int(i) for i in np.flatnonzero(ecc <= ecc.min() + 1e-12))
+    return near_minima(effective_eccentricities(g))
 
 
 @dataclass(frozen=True)
@@ -106,11 +101,8 @@ class GroundedSystem:
         dset = node_set(self.defense_set, self.base.n, "defense set")
         if not dset:
             raise ConfigError("defense set must be nonempty for a grounded system")
-        gain = real(self.gain, "gain", ConfigError)
-        if not positive_finite(gain):
-            raise ConfigError(f"gain must be positive and finite, got {gain}")
         object.__setattr__(self, "defense_set", dset)
-        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "gain", checked_gain(self.gain))
         lbar = laplacian(self.base)
         for i in dset:
             lbar[i, i] += self.gain

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 
@@ -346,13 +347,18 @@ def check_center_predictions(rng, trials, nmax, fault=None):
         expected = 0.5 + 0.5 / kappa + 0.5 * eff.min()
         if abs(rep.value - expected) > 1e-9:
             _fail("effective-center-value", f"{rep.value} vs {expected}")
-        # f = 2: virtual-node resistance min-max value
+        # f = 2: the resistance min-max against one grounded factorization per
+        # subset, its two largest entries (stable ties) and the first least sum
         if n >= 4:
-            m = game.build_matrix(g, kappa, 2, ControlLaw.REL_VELOCITY)
-            rep = game.stackelberg_defender_leader(m)
-            pred = game.predict_equilibrium(m)
-            if abs(rep.value - pred.value) > 1e-9:
-                _fail("resistance-minimax-value", f"{rep.value} vs {pred.value}")
+            loop = []
+            for sub in combinations(range(n), 2):
+                gdiag = grounded_inverse_diag(GroundedSystem(g, sub, kappa))
+                top = np.sort(np.argsort(-gdiag, kind="stable")[:2])
+                loop.append((1.0 + 0.5 * float(gdiag[top].sum()), sub, tuple(top.tolist())))
+            best = min(loop, key=lambda entry: entry[0])
+            pred = game.predict_equilibrium(game.build_matrix(g, kappa, 2, ControlLaw.REL_VELOCITY))
+            if (pred.value, pred.defender_set, pred.attacker_set) != best:
+                _fail("resistance-minimax-vs-subset-loop", f"{pred} vs {best}")
 
 
 SUITES = [

@@ -218,6 +218,17 @@ def test_usage_errors_exit_as_validation_errors(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["h2", "--law", "1", "--gain", "1", "--attack", "0,x"], "expected comma-separated node indices, got '0,x'"),
+     (["sweep", "--law", "1", "--f", "1", "--gains", "1,x"], "expected comma-separated gains, got '1,x'")],
+    ids=["h2-attack", "sweep-gains"],
+)
+def test_malformed_lists_are_validation_errors(capsys, p3, argv, message):
+    assert main(argv + ["--graph", p3]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _run_captured(capsys, argv):
     try:
         code = main(argv)

@@ -13,7 +13,7 @@ from resgame import (
     h2_energy_oracle,
 )
 from resgame.dynamics import assemble, lyapunov_residual
-from resgame.game import payoff_j1
+from resgame.game import build_matrix, payoff_j1, payoff_j2
 from resgame.graphcore import laplacian, path_graph, star_graph
 
 from conftest import random_connected_graph
@@ -145,6 +145,21 @@ class TestClosedForm:
         # exact H2 does depend on where the damping sits
         g = random_connected_graph(rng, 6)
         assert payoff_j1(g, 1.3, (2,), ()) == payoff_j1(g, 1.3, (2,), (4,))
+
+    def test_rel_velocity_equals_the_game_cell_bit_for_bit(self, rng):
+        # h2 sums its per-node costs by the game's `_cells` rule, so the
+        # closed form, payoff_j2 and the matrix cell agree to the last bit;
+        # 40 games (n 5-11, |A| = |D| = 1-4), 10 cells each
+        law2 = ControlLaw.REL_VELOCITY
+        for k in range(40):
+            f = 1 + k % 4
+            g = random_connected_graph(rng, int(rng.integers(5, 12)), weighted=bool(k // 4 % 2))
+            gain = float(10.0 ** rng.uniform(-1.0, 1.0))
+            m = build_matrix(g, gain, f, law2)
+            for r, c in rng.integers(0, m.index.size, (10, 2)).tolist():
+                defense, attack = m.index.subset(r), m.index.subset(c)
+                closed = h2_closed_form(scenario(g, law2, gain, defense, attack)).value_sq
+                assert closed == payoff_j2(g, gain, attack, defense) == m.values[r, c]
 
 
 class TestEnergyOracle:

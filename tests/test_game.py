@@ -731,11 +731,21 @@ class TestSolveAndPredict:
                 assert (pred.defender_set, pred.attacker_set) == best[1:]
                 assert pred.value == 0.5 * f + 0.5 * best[0]
 
+    def test_resistance_minimax_is_the_solvers_row(self, rng):
+        # defender and value are `leader_row`'s, on separately built games
+        for k in range(40):
+            f = 2 + k % 2
+            g = random_connected_graph(rng, int(rng.integers(f + 1, 10)), weighted=bool(k // 2 % 2))
+            gain = float(10.0 ** rng.uniform(-1.0, 1.0))
+            pred = predict_equilibrium(build_matrix(g, gain, f, LAW2))
+            rep = stackelberg_defender_leader(build_matrix(g, gain, f, LAW2))
+            assert (pred.defender_set, pred.value) == (rep.defender_set, rep.value)
+
     def test_resistance_minimax_exact_table_keeps_rounding_ties(self):
         # τ = 0: rows 0 and 1 hold the same three worst entries, permuted and
-        # one ulp apart, so row 0's node-order sum rounds above row 1's while
-        # row 1's `_cells` maximum rounds above row 0's; the margin must leave
-        # room for that rounding, or row 0 alone is a candidate
+        # one ulp apart, so a node-order sum rounds row 0 above row 1 while
+        # row 1's `_cells` maximum rounds above row 0's; the prediction takes
+        # the solver's row 0 and its value
         w = [
             [3.8923705390608188, 6.998678150332286, 0.9764256640870306, 0.0],
             [6.998678150332286, 0.9764256640870306, 0.0, 3.892370539060819],
@@ -745,8 +755,10 @@ class TestSolveAndPredict:
         m = TestNash._seeded(4, 3, LAW2, w)
         assert m.approx[1] == 0.0
         pred = predict_equilibrium(m)
-        assert (pred.defender_set, pred.attacker_set) == ((0, 1, 3), (0, 1, 3))
+        assert (pred.defender_set, pred.attacker_set) == ((0, 1, 2), (0, 1, 2))
         assert pred.value == 13.367474353480135
+        rep = stackelberg_defender_leader(TestNash._seeded(4, 3, LAW2, w))
+        assert (rep.defender_set, rep.value) == (pred.defender_set, pred.value)
 
 
 class TestSweep:
@@ -767,6 +779,10 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_gain(path_graph(3), 1, LAW1, [])
         with pytest.raises(ConfigError):
+            sweep_gain(path_graph(3), 1, LAW1, [0.5, -1.0])
+
+    def test_bad_grid_gain_names_its_value(self):
+        with pytest.raises(ConfigError, match=re.escape("gain must be positive and finite, got -1.0")):
             sweep_gain(path_graph(3), 1, LAW1, [0.5, -1.0])
 
     def test_rows_cover_grid(self):

@@ -45,6 +45,15 @@ class TestGraphValidation:
         with pytest.raises(GraphError, match="disconnected"):
             Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
 
+    def test_rejects_empty_graph(self):
+        with pytest.raises(GraphError, match="node count must be >= 1, got 0"):
+            Graph(0, ())
+
+    def test_disconnected_message_lists_components(self):
+        # 4 edges could connect 5 nodes, so the components are searched
+        with pytest.raises(GraphError, match=re.escape("components: [[0, 1, 2], [3, 4]]")):
+            Graph(5, ((0, 1), (1, 2), (0, 2), (3, 4)))
+
     def test_rejects_too_few_edges_before_per_node_work(self):
         # n - 1 edges are needed to connect n nodes: a huge node index is
         # rejected without building n adjacency lists

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from resgame import ConfigError, ConvergenceError, Graph
-from resgame.graphcore import complete_graph, degrees, distances, laplacian, path_graph
+from resgame import ConfigError, ControlLaw, ConvergenceError, Graph, build_matrix, predict_equilibrium
+from resgame.graphcore import complete_graph, cycle_graph, degrees, distances, laplacian, path_graph
 from resgame.resistance import (
     GroundedSystem,
     effective_center,
@@ -65,6 +65,25 @@ class TestEffectiveCenter:
         g = Graph(k + 6, tuple(edges + tail))
         eff = effective_center(g)
         assert all(v >= k for v in eff)  # strictly inside the tail
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_tie_rule_is_scale_free(self, rng, scale):
+        # the tie window is relative, so scaling every weight moves no node
+        # in or out of the effective center
+        def scaled(g):
+            return Graph(g.n, tuple((i, j, w * scale) for i, j, w in g.edges))
+
+        for n in (12, 30, 60):
+            assert effective_center(scaled(cycle_graph(n))) == tuple(range(n))
+            assert effective_center(scaled(complete_graph(n))) == tuple(range(n))
+        for k in range(20):
+            g = random_connected_graph(rng, int(rng.integers(3, 13)), weighted=bool(k % 2))
+            assert effective_center(scaled(g)) == effective_center(g)
+            before, after = (
+                predict_equilibrium(build_matrix(h, 1.0, 1, ControlLaw.REL_VELOCITY)).defender_set
+                for h in (g, scaled(g))
+            )
+            assert after == before
 
     def test_eccentricities_are_row_maxima(self, rng):
         g = random_connected_graph(rng, 8, weighted=True)

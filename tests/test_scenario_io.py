@@ -92,6 +92,11 @@ class TestGraphParsing:
         with pytest.raises(GraphError, match=re.escape(f"bad value for {field}")):
             parse_graph_json(obj)
 
+    def test_json_graph_error_is_re_raised(self):
+        # well-formed entries: the graph's own error is raised again as is
+        with pytest.raises(GraphError, match="self-loop at node 0"):
+            parse_graph_json({"n": 2, "edges": [[0, 0]]})
+
     def test_disconnected_input_is_rejected(self):
         with pytest.raises(GraphError, match="disconnected"):
             parse_graph_text("0 1\n2 3\n")
@@ -109,6 +114,10 @@ class TestGraphRoundTrip:
         path = tmp_path / "graph.dat"
         path.write_text(json.dumps(graph_to_json(path_graph(3))))
         assert load_graph(path) == path_graph(3)
+
+    def test_unknown_format_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown graph format 'yaml'"):
+            write_graph(path_graph(3), tmp_path / "g.yaml", fmt="yaml")
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -158,6 +167,12 @@ class TestScenarioConfig:
     def test_rejects_non_object(self):
         with pytest.raises(ConfigError, match="JSON object"):
             scenario_from_dict(5)
+
+    def test_invalid_json_file_reports_line(self, tmp_path):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"law": 1,\n "gain": }')
+        with pytest.raises(ConfigError, match="invalid JSON at line 2"):
+            load_scenario(cfg)
 
 
 class TestReports:
