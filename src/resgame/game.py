@@ -94,8 +94,12 @@ class GameMatrix:
     graph: Graph
     law: ControlLaw
     gain: float
-    f: int
     index: SubsetIndex
+
+    @property
+    def f(self) -> int:
+        """The budget of both players: `index.f`."""
+        return self.index.f
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -346,7 +350,7 @@ def build_matrix(g: Graph, gain: float, f: int, law: ControlLaw) -> GameMatrix:
     law = ControlLaw.from_int(law)
     gain = checked_gain(gain)
     index = SubsetIndex(g.n, f)
-    return GameMatrix(graph=g, law=law, gain=gain, f=index.f, index=index)
+    return GameMatrix(graph=g, law=law, gain=gain, index=index)
 
 
 def find_nash(m: GameMatrix) -> tuple[int, int, float] | None:
@@ -447,67 +451,66 @@ def solve(m: GameMatrix) -> EquilibriumReport:
 def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:
     """Closed-form equilibrium of the game m from graph centralities.
 
+    Law 2, f = 1: the effective-center / tree-center result. Its attacker,
+    the node farthest from the center v in resistance, is v, a pure NE,
+    only on the one-node graph. Otherwise a defender set D and its row of
+    W give the report: the attacker takes the row's f largest entries,
+    ties to the smaller index; their `_cells` payoff, the value, is the
+    row's largest cell bit for bit, as rounding is monotone; the kind is
+    `nash`, with D as the attacker, iff attacking D reaches the value.
+
     Law 1, on any graph and for every gain and f, from `_law1_costs`, the
     solvers' kernel: D is the f nodes of largest cost c = (d+1)/2, ties to
     the smaller index, a best row; it holds ĉ = c/(1+κ) on D and c
-    elsewhere. The value is the `_cells` payoff of the row's f largest
-    entries, ties to the smaller index, which the attacker takes. Every
-    column's minimum is its own cell (see `find_nash`) and D's is the
-    largest, so (D, D) is a saddle iff attacking D reaches the value: that
-    is κ <= `nash_threshold(g, f)`, decided here on the rounded payoffs as
-    `solve` decides it. Theorems: degree-gap-nash (NE), degree-leader
-    (f = 1), top-degrees (f > 1); the threshold is reported for f < n.
+    elsewhere. Every column's minimum is its own cell (see `find_nash`)
+    and D's is the largest, so the NE test is κ <= `nash_threshold(g, f)`,
+    decided on the rounded payoffs as `solve` decides it. Theorems:
+    degree-gap-nash (NE), degree-leader (f = 1), top-degrees (f > 1); the
+    threshold is reported for f < n.
 
-    Law 2: the effective-center / tree-center result (f = 1) and the
-    virtual-node resistance min-max (f > 1). Only the last enumerates
-    subsets: its defender and value are the solver's `leader_row`, its
-    attacker that row's f largest entries (stable ties), so it restates
+    Law 2, f > 1: the virtual-node resistance min-max. D is the solver's
+    `leader_row`, so this branch alone enumerates subsets, and restates
     the brute-force solution rather than predicting it independently.
     """
     g, gain, f = m.graph, m.gain, m.f
-    if m.law is ControlLaw.ABS_VELOCITY:
-        c, _ = _law1_costs(g, gain)
-        defender = np.sort(np.argsort(-c, kind="stable")[:f])
-        row = _payoff_rows(g, gain, m.law, defender[None])[0]
-        attacker = np.sort(np.argsort(-row, kind="stable")[:f])
-        value = float(_cells(row[attacker], m.law))
-        nash = float(_cells(row[defender], m.law)) == value
-        kbar = nash_threshold(g, f)
-        return EquilibriumReport(
-            kind="nash" if nash else "stackelberg_defender_leader",
-            defender_set=tuple(defender.tolist()),
-            attacker_set=tuple((defender if nash else attacker).tolist()),
-            value=value,
-            theorem="degree-gap-nash" if nash else "degree-leader" if f == 1 else "top-degrees",
-            witness="max-degree node" if f == 1 else "top-f-degree nodes",
-            threshold=kbar if f < g.n else None,
-            gain_above_threshold=gain > kbar if f < g.n else None,
-        )
-    # law 2
-    if f == 1:
+    law1 = m.law is ControlLaw.ABS_VELOCITY
+    if not law1 and f == 1:
         rmat = resistance_matrix(g)
         ecc = rmat.max(axis=1)  # effective eccentricities
         v = near_minima(ecc)[0]  # the first node of the effective center
         attacker = int(rmat[v].argmax())
         on_tree = g.is_tree and g.has_unit_weights
         return EquilibriumReport(
-            kind="stackelberg_defender_leader",
+            kind="nash" if attacker == v else "stackelberg_defender_leader",
             defender_set=(v,),
             attacker_set=(attacker,),
             value=0.5 + 0.5 / gain + 0.5 * float(ecc[v]),
             theorem="tree-center" if on_tree else "effective-center",
             witness="graph center" if on_tree else "effective center",
         )
-    # the solver's leader row; the attacker takes its f worst nodes (stable ties)
-    r0, cells = m.leader_row
-    row = m.exact_rows(np.array([r0]))[0]
+    if law1:
+        c, _ = _law1_costs(g, gain)
+        defender = np.sort(np.argsort(-c, kind="stable")[:f])
+        row = _payoff_rows(g, gain, m.law, defender[None])[0]
+        theorem = "degree-leader" if f == 1 else "top-degrees"
+        witness = "max-degree node" if f == 1 else "top-f-degree nodes"
+    else:
+        r0, _ = m.leader_row
+        defender, row = m.index.subsets[r0], m.exact_rows(np.array([r0]))[0]
+        theorem, witness = "resistance-minimax", "min-max virtual-node resistance set"
+    attacker = np.sort(np.argsort(-row, kind="stable")[:f])
+    value = float(_cells(row[attacker], m.law))
+    nash = float(_cells(row[defender], m.law)) == value
+    kbar = nash_threshold(g, f) if law1 and f < g.n else None
     return EquilibriumReport(
-        kind="stackelberg_defender_leader",
-        defender_set=m.index.subset(r0),
-        attacker_set=tuple(np.sort(np.argsort(-row, kind="stable")[:f]).tolist()),
-        value=float(cells.max()),
-        theorem="resistance-minimax",
-        witness="min-max virtual-node resistance set",
+        kind="nash" if nash else "stackelberg_defender_leader",
+        defender_set=tuple(defender.tolist()),
+        attacker_set=tuple((defender if nash else attacker).tolist()),
+        value=value,
+        theorem="degree-gap-nash" if nash and law1 else theorem,
+        witness=witness,
+        threshold=kbar,
+        gain_above_threshold=None if kbar is None else gain > kbar,
     )
 
 

@@ -354,19 +354,17 @@ def _entry_rows(matrix: np.ndarray, sep: str, fmt):
 _ROW_SEP = ",\n      "
 
 
-def _json_rows(matrix: np.ndarray):
-    """Each row's entries as json.dumps writes .tolist() in a report, joined by their separator."""
+def _row_texts(matrix: np.ndarray, sep: str, fmt):
+    """Each row's entries as fmt (repr or json.dumps) writes them from .tolist(), joined by sep."""
     if _repeats(matrix):
-        for texts in _distinct_rows(matrix, json.dumps):
-            yield _ROW_SEP.join(texts)
-        return
-    yield from _entry_rows(matrix, _ROW_SEP, json.dumps)
+        return map(sep.join, _distinct_rows(matrix, fmt))
+    return _entry_rows(matrix, sep, fmt)
 
 
 def _matrix_pieces(matrix: np.ndarray):
     """A 2-D float or integer array's text as a report value, as json.dumps writes .tolist(), a row a piece."""
     head = "["
-    for text in _json_rows(matrix):
+    for text in _row_texts(matrix, _ROW_SEP, json.dumps):
         yield head + ("\n    [\n      " + text + "\n    ]" if text else "\n    []")
         head = ","
     yield "[]" if head == "[" else "\n  ]"
@@ -425,10 +423,7 @@ def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
     values = m.values  # before the file opens: a failed computation leaves no file
     subsets = m.index.subsets.tolist()
     headers = [f"{r}:{_decode_subset(sub)}" for r, sub in enumerate(subsets)]
-    if _repeats(values):
-        rows = map(",".join, _distinct_rows(values, repr))
-    else:
-        rows = _entry_rows(values, ",", repr)
+    rows = _row_texts(values, ",", repr)
     with _open_out(path) as fh:
         csv.writer(fh).writerow(["defender\\attacker"] + headers)
         # a float's repr and a header hold nothing csv.writer would quote

@@ -348,16 +348,20 @@ def check_center_predictions(rng, trials, nmax, fault=None):
         if abs(rep.value - expected) > 1e-9:
             _fail("effective-center-value", f"{rep.value} vs {expected}")
         # f = 2: the resistance min-max against one grounded factorization per
-        # subset, its two largest entries (stable ties) and the first least sum
+        # subset, its two largest entries (stable ties) and the first least
+        # sum; a pure NE, attacking the defended pair, iff that pair reaches it
         if n >= 4:
             loop = []
             for sub in combinations(range(n), 2):
                 gdiag = grounded_inverse_diag(GroundedSystem(g, sub, kappa))
                 top = np.sort(np.argsort(-gdiag, kind="stable")[:2])
-                loop.append((1.0 + 0.5 * float(gdiag[top].sum()), sub, tuple(top.tolist())))
-            best = min(loop, key=lambda entry: entry[0])
+                own = 1.0 + 0.5 * float(gdiag[list(sub)].sum())
+                loop.append((1.0 + 0.5 * float(gdiag[top].sum()), sub, tuple(top.tolist()), own))
+            value, sub, top, own = min(loop, key=lambda entry: entry[0])
+            nash = own == value
+            best = ("nash" if nash else "stackelberg_defender_leader", value, sub, sub if nash else top)
             pred = game.predict_equilibrium(game.build_matrix(g, kappa, 2, ControlLaw.REL_VELOCITY))
-            if (pred.value, pred.defender_set, pred.attacker_set) != best:
+            if (pred.kind, pred.value, pred.defender_set, pred.attacker_set) != best:
                 _fail("resistance-minimax-vs-subset-loop", f"{pred} vs {best}")
 
 

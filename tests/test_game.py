@@ -713,6 +713,24 @@ class TestSolveAndPredict:
             rep = stackelberg_defender_leader(build_matrix(g, 1.0, 2, LAW2))
             assert rep.value == pytest.approx(pred.value, abs=1e-9)
 
+    def test_law2_prediction_kind_is_the_solvers(self, rng):
+        # f = n and some 2 <= f < n games have a pure NE; the leader row's own
+        # cell reaching the value decides it as `find_nash` does
+        games = [(Graph(1, ()), 1.0, 1)]
+        for k in range(200):
+            n = int(rng.integers(3, 9))
+            g = random_connected_graph(rng, n, weighted=bool(k % 2))
+            games.append((g, float(10.0 ** rng.uniform(-2.0, 2.0)), int(rng.integers(2, n + 1))))
+        nash_below_n = 0
+        for g, gain, f in games:
+            pred = predict_equilibrium(build_matrix(g, gain, f, LAW2))
+            rep = solve(build_matrix(g, gain, f, LAW2))
+            assert (pred.kind, pred.value) == (rep.kind, rep.value)
+            if pred.kind == "nash":
+                assert pred.attacker_set == pred.defender_set
+                nash_below_n += f < g.n
+        assert nash_below_n > 0
+
     def test_resistance_minimax_matches_subset_loop(self, rng):
         # reference: one grounded factorization per defender subset, the f
         # largest diagonal entries (stable ties), first strict minimum wins

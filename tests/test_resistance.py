@@ -92,6 +92,13 @@ class TestEffectiveCenter:
         )
 
 
+def grounded_laplacian(g, dset, kappa):
+    """L + kappa P_D, built here from the Laplacian."""
+    indicator = np.zeros(g.n)
+    indicator[list(dset)] = 1.0
+    return laplacian(g) + kappa * np.diag(indicator)
+
+
 class TestGroundedSystem:
     def test_rejects_empty_defense(self):
         with pytest.raises(ConfigError):
@@ -108,7 +115,9 @@ class TestGroundedSystem:
 
     def test_gain_is_stored_as_float(self):
         gs = GroundedSystem(path_graph(3), (0,), np.int64(2))
-        assert type(gs.gain) is float and gs.lbar[0, 0] == 3.0
+        assert type(gs.gain) is float
+        expected = np.diag(cho_solve(cho_factor(grounded_laplacian(path_graph(3), (0,), 2.0)), np.eye(3)))
+        assert np.array_equal(grounded_inverse_diag(gs), expected)
 
     @pytest.mark.parametrize("dset", [(1.5,), (True,), (0, 0), (3,)], ids=["float", "bool", "duplicate", "range"])
     def test_rejects_bad_defense_set(self, dset):
@@ -117,9 +126,8 @@ class TestGroundedSystem:
 
     def test_diag_matches_direct_inverse(self, rng):
         g = random_connected_graph(rng, 7, weighted=True)
-        gs = GroundedSystem(g, (0, 3), 1.5)
-        direct = np.diag(np.linalg.inv(gs.lbar))
-        assert np.abs(grounded_inverse_diag(gs) - direct).max() < 1e-10
+        direct = np.diag(np.linalg.inv(grounded_laplacian(g, (0, 3), 1.5)))
+        assert np.abs(grounded_inverse_diag(GroundedSystem(g, (0, 3), 1.5)) - direct).max() < 1e-10
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_bit_identical_to_scipy_cholesky(self, rng, weighted):
@@ -127,19 +135,18 @@ class TestGroundedSystem:
             g = random_connected_graph(rng, n, weighted=weighted)
             size = int(rng.integers(1, n + 1))
             dset = tuple(int(i) for i in rng.choice(n, size, replace=False))
+            lap = laplacian(g)
             for kappa in (0.3, 1.0, 4.0):
-                gs = GroundedSystem(g, dset, kappa)
-                lbar = gs.lbar.copy()
-                expected = np.diag(cho_solve(cho_factor(lbar), np.eye(n)))
-                assert np.array_equal(grounded_inverse_diag(gs), expected)
-                assert np.array_equal(gs.lbar, lbar)  # lbar is not overwritten
+                expected = np.diag(cho_solve(cho_factor(grounded_laplacian(g, dset, kappa)), np.eye(n)))
+                assert np.array_equal(grounded_inverse_diag(GroundedSystem(g, dset, kappa)), expected)
+                # the factorization works in place on a fresh array, not on the graph's Laplacian
+                assert np.array_equal(laplacian(g), lap)
 
     def test_indefinite_system_is_convergence_error(self):
-        gs = GroundedSystem(path_graph(4), (0,), 1.0)
-        lbar = gs.lbar.copy()
-        lbar[2, 2] = -5.0
-        object.__setattr__(gs, "lbar", lbar)
-        with pytest.raises(ConvergenceError, match="factorization failed"):
+        # positive definite in exact arithmetic, but at kappa = 1e-16 the last
+        # pivot of L + kappa P_D is not positive in floating point
+        gs = GroundedSystem(path_graph(30), (0,), 1e-16)
+        with pytest.raises(ConvergenceError, match="factorization failed: LAPACK potrf info=30"):
             grounded_inverse_diag(gs)
 
     def test_equals_virtual_node_resistance(self, rng):
