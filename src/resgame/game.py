@@ -83,12 +83,12 @@ class GameMatrix:
     lexicographic order of `index`. The per-node cost tables are computed
     on first use, so the enumeration cap is enforced there, not when the
     game is built. A law-1 game without its exact table takes each row's
-    largest payoff from the 2f largest costs (`_law1_row_max`) and reads
-    one exact row. Otherwise the solvers decide from `approx` and read
-    exact rows through `exact_rows` only where `approx` cannot settle a
-    comparison. The exact table `rows` and the dense payoff matrix
-    `values` are built only when read. Use `build_matrix`, which
-    validates the inputs.
+    largest payoff from the 2f largest costs and builds one exact row
+    (`_law1_leaders`, which a sweep calls once per block of gains).
+    Otherwise the solvers decide from `approx` and read exact rows
+    through `exact_rows` only where `approx` cannot settle a comparison.
+    The exact table `rows` and the dense payoff matrix `values` are built
+    only when read. Use `build_matrix`, which validates the inputs.
     """
 
     graph: Graph
@@ -126,15 +126,19 @@ class GameMatrix:
         """(W̃, τ): a table of W's shape and a bound τ on |W̃ - rows| entry by entry.
 
         For law 2 with no exact table in hand, the low-rank rows of
-        `_low_rank_rows`. Otherwise, or when G cannot be factored or τ is
-        not finite, W̃ is `rows` itself and τ = 0: the exact case of the
-        same decisions.
+        `_low_rank_rows`, from the `_shifted` inverse that a sweep hands
+        each of its games, or else inverts here; the game keeps no copy.
+        Otherwise, or when G cannot be factored or τ is not finite, W̃ is
+        `rows` itself and τ = 0: the exact case of the same decisions.
         """
         if self.law is ControlLaw.REL_VELOCITY and "rows" not in vars(self):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                w, tau = _low_rank_rows(self.graph, self.gain, self.index.subsets)
-                if math.isfinite(tau):
-                    return w, tau
+            subsets = self.index.subsets  # the cap is checked before G is inverted
+            shifted = vars(self).pop("_shifted", None) or _shifted(self.graph)
+            if shifted is not None:
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    w, tau = _low_rank_rows(shifted, self.gain, subsets)
+                    if math.isfinite(tau):
+                        return w, tau
         return self.rows, 0.0
 
     @cached_property
@@ -170,27 +174,6 @@ class GameMatrix:
         """A law-1 game without its exact table: the solvers read costs, not W."""
         return self.law is ControlLaw.ABS_VELOCITY and "rows" not in vars(self)
 
-    def _law1_row_max(self) -> np.ndarray:
-        """Each law-1 row's largest payoff, the `_row_max` of W, in O(N f) with no N x n table.
-
-        Row D's entries are ĉ on D and c elsewhere. Let T be the 2f nodes
-        of largest c, or all n when n < 2f. At least f nodes of T are not
-        in D, and no node outside T has a larger c than they do. So D's f
-        largest entries, as a multiset, are the f largest of c on T's nodes
-        outside D and of ĉ on D, and `_cells` sums a multiset to the same
-        bits in any order.
-        """
-        c, c_hat = _law1_costs(self.graph, self.gain)
-        subsets = self.index.subsets
-        top = np.argsort(c)[-2 * self.f :]
-        slot = np.full(len(c), -1)
-        slot[top] = np.arange(len(top))
-        entries = np.concatenate((np.tile(c[top], (len(subsets), 1)), c_hat[subsets]), axis=1)
-        own = slot[subsets]  # where D's nodes sit in T, or -1
-        r, k = np.nonzero(own >= 0)
-        entries[r, own[r, k]] = -np.inf
-        return self._row_max(entries)
-
     def _row_max(self, w: np.ndarray) -> np.ndarray:
         """Each row's largest payoff: rounding is monotone, so its f largest entries by `_cells`."""
         f = self.f
@@ -200,21 +183,18 @@ class GameMatrix:
     def leader_row(self) -> tuple[int, np.ndarray]:
         """(r0, cells): the first row whose largest payoff is smallest, and its N exact payoffs.
 
-        A law-1 game without its exact table reads r0 off the exact
-        `_law1_row_max` and builds row r0 alone. Otherwise it compares the
-        exact rows of the ranks whose `approx` largest payoff is within
-        `margin` of the least, which hold every exact least. Only r0's cells are computed.
+        A law-1 game without its exact table takes both from `_law1_leaders`
+        at its one gain. Otherwise it compares the exact rows of the ranks
+        whose `approx` largest payoff is within `margin` of the least, which
+        hold every exact least. Only r0's cells are computed.
         """
         if self._law1_direct:
-            r0 = int(self._law1_row_max().argmin())
-            row = self.exact_rows(np.array([r0]))[0]
-        else:
-            scores = self._row_max(self.approx[0])
-            ranks = np.flatnonzero(scores <= scores.min() + self.margin)
-            exact = self.exact_rows(ranks)
-            k = int(self._row_max(exact).argmin())
-            r0, row = int(ranks[k]), exact[k]
-        return r0, _cells(row[self.index.subsets], self.law)
+            return _law1_leaders(self, [self.gain])[0]
+        scores = self._row_max(self.approx[0])
+        ranks = np.flatnonzero(scores <= scores.min() + self.margin)
+        exact = self.exact_rows(ranks)
+        k = int(self._row_max(exact).argmin())
+        return int(ranks[k]), _cells(exact[k][self.index.subsets], self.law)
 
 
 @dataclass(frozen=True)
@@ -231,10 +211,45 @@ class EquilibriumReport:
     gain_above_threshold: bool | None = None
 
 
-def _law1_costs(g: Graph, gain: float) -> tuple[np.ndarray, np.ndarray]:
-    """(c, ĉ): law-1 W's undefended entries c = (d+1)/2 and defended ones ĉ = c/(1+κ)."""
+def _law1_costs(g: Graph, gain: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, ĉ): law-1 W's undefended entries c = (d+1)/2 and defended ĉ = c/(1+κ), per gain of a column."""
     c = 0.5 * (degrees(g) + 1.0)
     return c, c / (1.0 + gain)
+
+
+def _law1_row_max(m: GameMatrix, gains: list[float]) -> np.ndarray:
+    """Each row's largest payoff in the law-1 game m at each gain, the `_row_max` of its W.
+
+    Row D's entries are ĉ on D and c elsewhere. Let T be the 2f nodes
+    of largest c, or all n when n < 2f. No node outside T has a larger c
+    than the f largest of c on T's nodes outside D (if n >= 2f, at least
+    f of them). So D's f largest entries, as a multiset, are the f
+    largest of those, which no gain changes, and of ĉ on D, and `_cells`
+    sums a multiset to the same bits in any order. Every gain's maxima
+    come from one (gains, N, 2f) array, O(N f) per gain, no N x n table.
+    """
+    c, c_hat = _law1_costs(m.graph, np.array(gains)[:, None])
+    subsets, f = m.index.subsets, m.f
+    top = np.argsort(c)[-2 * f :]
+    slot = np.full(len(c), -1)
+    slot[top] = np.arange(len(top))
+    own = slot[subsets]  # where D's nodes sit in T, or -1
+    r, k = np.nonzero(own >= 0)
+    outside = np.tile(c[top], (len(subsets), 1))
+    outside[r, own[r, k]] = -np.inf
+    entries = np.empty((len(gains), len(subsets), 2 * f))
+    entries[..., :f] = np.partition(outside, -f, axis=1)[:, -f:]
+    entries[..., f:] = c_hat[:, subsets]
+    entries.partition(f, axis=2)  # in place: `_row_max` without its copy
+    return _cells(entries[..., f:], m.law)
+
+
+def _law1_leaders(m: GameMatrix, gains: list[float]) -> list[tuple[int, np.ndarray]]:
+    """`GameMatrix.leader_row` of the law-1 game m at each gain: one `_law1_row_max`, then row r0 of W."""
+    subsets = m.index.subsets
+    leaders = _law1_row_max(m, gains).argmin(axis=1).tolist()
+    rows = [_payoff_rows(m.graph, gain, m.law, subsets[r0 : r0 + 1]) for gain, r0 in zip(gains, leaders)]
+    return list(zip(leaders, _cells(np.concatenate(rows)[:, subsets], m.law)))
 
 
 def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarray) -> np.ndarray:
@@ -262,10 +277,22 @@ _UNIT_ROUNDOFF = 2.0**-53
 _CHUNK_BYTES = 1 << 17
 
 
-def _low_rank_rows(g: Graph, gain: float, defender_sets: np.ndarray) -> tuple[np.ndarray, float]:
+def _shifted(g: Graph) -> tuple[np.ndarray, np.ndarray, float, float] | None:
+    """(G, diag G, d_max, max R) for `_low_rank_rows`, None when G does not factor; no gain enters it."""
+    d_max = float(degrees(g).max())
+    try:
+        big_g = shifted_inverse(g, d_max)
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.diag(big_g)
+    return big_g, diag, d_max, float((diag[:, None] - 2.0 * big_g + diag).max())
+
+
+def _low_rank_rows(shifted: tuple, gain: float, defender_sets: np.ndarray) -> tuple[np.ndarray, float]:
     """Law-2 W for the (R, f) node array from one n x n inverse, and a bound τ on its error.
 
-    With G = shifted_inverse(g, a) and a = d_max,
+    `shifted` is `_shifted(g)`, (G, diag G, a, max R) with
+    G = shifted_inverse(g, a) and a = d_max. Then
     L + κP_D = G⁻¹ - a 11ᵀ/n + κP_D and G1 = 1/a. Woodbury with
     U = [1, G e_D] and K = [[0, 1ᵀ], [1, M]], M = I/κ + G_DD, with the
     ones row of K eliminated by hand, gives for g_i = G[D, i]
@@ -286,11 +313,8 @@ def _low_rank_rows(g: Graph, gain: float, defender_sets: np.ndarray) -> tuple[np
     unit-weight graphs, cycles, stars, complete graphs, twin leaves,
     weights 10^±6 with gains 1e-8 and 1e8, and the 150-node path.
     """
-    d_max = float(degrees(g).max())
-    big_g = shifted_inverse(g, d_max)
-    diag = np.diag(big_g)
-    n, f = g.n, defender_sets.shape[1]
-    r_max = float((diag[:, None] - 2.0 * big_g + diag).max())
+    big_g, diag, d_max, r_max = shifted
+    n, f = len(big_g), defender_sets.shape[1]
     c_hat = (2.0 * d_max + gain) * n * (1.0 / gain + r_max)
     w = np.empty((len(defender_sets), n))
     # per row, g and M⁻¹g take f rows of n floats each and p and q one each
@@ -526,22 +550,28 @@ class SweepRow:
 def sweep_gain(g: Graph, f: int, law: ControlLaw, kappa_grid) -> list[SweepRow]:
     """Solve the game on each gain of the grid; NE when present, else Stackelberg.
 
-    The gains share one `SubsetIndex`, so the subsets are enumerated once.
+    The gains share one `SubsetIndex`, so the subsets are enumerated once,
+    and each gain's game gets first what it shares. Law 1 without exact
+    tables: the `leader_row`s of a block of gains, from one `_law1_leaders`
+    call that holds at most _BLOCK_CELLS row maxima, each block solved
+    before the next. Law 2: the one inverse G, `_shifted(g)`.
     """
     grid = [checked_gain(k) for k in kappa_grid]
     if not grid:
         raise ConfigError("gain grid must be nonempty")
     base = build_matrix(g, grid[0], f, law)  # one subset index for every gain
+    step = max(1, _BLOCK_CELLS // len(base.index.subsets))  # enumerated before G is inverted
+    shifted = _shifted(g) if base.law is ControlLaw.REL_VELOCITY else None
     rows = []
-    for kappa in grid:
-        report = solve(replace(base, gain=kappa))
-        rows.append(
-            SweepRow(
-                kappa=kappa,
-                kind=report.kind,
-                defender_set=report.defender_set,
-                attacker_set=report.attacker_set,
-                value=report.value,
-            )
-        )
+    for lo in range(0, len(grid), step):
+        block = grid[lo : lo + step]
+        games = [replace(base, gain=kappa) for kappa in block]
+        if base._law1_direct:
+            for m, leader in zip(games, _law1_leaders(base, block)):
+                vars(m)["leader_row"] = leader
+        for m in games:
+            if shifted is not None:
+                vars(m)["_shifted"] = shifted
+            r = solve(m)
+            rows.append(SweepRow(m.gain, r.kind, r.defender_set, r.attacker_set, r.value))
     return rows

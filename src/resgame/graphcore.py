@@ -211,18 +211,29 @@ def degree_profile(g: Graph) -> DegreeProfile:
 
 
 def distances(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path hop counts (weights are ignored)."""
-    adj = g.neighbors()
-    dist = np.full((g.n, g.n), -1, dtype=int)
-    for s in range(g.n):
-        dist[s, s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[s, v] < 0:
-                    dist[s, v] = dist[s, u] + 1
-                    queue.append(v)
+    """All-pairs shortest-path hop counts (weights are ignored).
+
+    A breadth-first search from every node at once, one level at a time,
+    on NumPy alone, so `centrality` loads no SciPy: the (source, node)
+    pairs s n + v of one level step to v's neighbours, and the pairs not
+    reached before form the next level. O(n m) work in all.
+    """
+    n, adj = g.n, g.neighbors()
+    degree = np.array([len(a) for a in adj])
+    first = np.cumsum(degree) - degree  # where v's neighbours start in `flat`
+    flat = np.array([v for a in adj for v in a], dtype=np.intp)
+    dist = np.full((n, n), -1, dtype=int)
+    pairs, level = np.arange(n) * (n + 1), 0
+    while len(pairs):
+        dist.flat[pairs] = level
+        s, v = np.divmod(pairs, n)
+        k = degree[v]
+        slot = np.arange(k.sum()) + np.repeat(first[v] - (np.cumsum(k) - k), k)
+        reached = np.repeat(s * n, k) + flat[slot]
+        reached = reached[dist.flat[reached] < 0]
+        tag = -2 - np.arange(len(reached))  # a pair reached twice keeps one of its tags: listed once
+        dist.flat[reached] = tag
+        pairs, level = reached[dist.flat[reached] == tag], level + 1
     return dist
 
 

@@ -326,6 +326,7 @@ def check_attack_monotonicity(rng, trials, nmax, fault=None):
 
 
 def check_center_predictions(rng, trials, nmax, fault=None):
+    minimax = []
     for _ in range(trials):
         n = int(rng.integers(3, nmax + 1))
         kappa = float(rng.choice([0.5, 1.0, 2.0]))
@@ -347,22 +348,31 @@ def check_center_predictions(rng, trials, nmax, fault=None):
         expected = 0.5 + 0.5 / kappa + 0.5 * eff.min()
         if abs(rep.value - expected) > 1e-9:
             _fail("effective-center-value", f"{rep.value} vs {expected}")
-        # f = 2: the resistance min-max against one grounded factorization per
-        # subset, its two largest entries (stable ties) and the first least
-        # sum; a pure NE, attacking the defended pair, iff that pair reaches it
         if n >= 4:
-            loop = []
-            for sub in combinations(range(n), 2):
-                gdiag = grounded_inverse_diag(GroundedSystem(g, sub, kappa))
-                top = np.sort(np.argsort(-gdiag, kind="stable")[:2])
-                own = 1.0 + 0.5 * float(gdiag[list(sub)].sum())
-                loop.append((1.0 + 0.5 * float(gdiag[top].sum()), sub, tuple(top.tolist()), own))
-            value, sub, top, own = min(loop, key=lambda entry: entry[0])
-            nash = own == value
-            best = ("nash" if nash else "stackelberg_defender_leader", value, sub, sub if nash else top)
-            pred = game.predict_equilibrium(game.build_matrix(g, kappa, 2, ControlLaw.REL_VELOCITY))
-            if (pred.kind, pred.value, pred.defender_set, pred.attacker_set) != best:
-                _fail("resistance-minimax-vs-subset-loop", f"{pred} vs {best}")
+            minimax.append((g, kappa))
+    # those games meet no pure NE at f = 2, nor do weights e^U(-6, 6) on 3 or
+    # more nodes at these gains; at f = n = 2 the one cell is a saddle
+    for _ in range(trials):
+        n = int(rng.integers(2, 5))
+        edges = random_connected_graph(rng, n).edges
+        g = Graph(n, tuple((i, j, float(np.exp(rng.uniform(-6, 6)))) for i, j, _ in edges))
+        minimax.append((g, float(rng.choice([0.5, 1.0, 2.0]))))
+    # f = 2: the resistance min-max against one grounded factorization per
+    # subset, its two largest entries (stable ties) and the first least
+    # sum; a pure NE, attacking the defended pair, iff that pair reaches it
+    for g, kappa in minimax:
+        loop = []
+        for sub in combinations(range(g.n), 2):
+            gdiag = grounded_inverse_diag(GroundedSystem(g, sub, kappa))
+            top = np.sort(np.argsort(-gdiag, kind="stable")[:2])
+            own = 1.0 + 0.5 * float(gdiag[list(sub)].sum())
+            loop.append((1.0 + 0.5 * float(gdiag[top].sum()), sub, tuple(top.tolist()), own))
+        value, sub, top, own = min(loop, key=lambda entry: entry[0])
+        nash = own == value
+        best = ("nash" if nash else "stackelberg_defender_leader", value, sub, sub if nash else top)
+        pred = game.predict_equilibrium(game.build_matrix(g, kappa, 2, ControlLaw.REL_VELOCITY))
+        if (pred.kind, pred.value, pred.defender_set, pred.attacker_set) != best:
+            _fail("resistance-minimax-vs-subset-loop", f"{pred} vs {best}")
 
 
 SUITES = [

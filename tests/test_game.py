@@ -484,6 +484,18 @@ class TestMatrixFree:
             assert (rep.defender_set, rep.attacker_set, rep.value) == ((0, 1), (2, 3), 3.0)
 
 
+    def test_law1_sweep_memory_at_the_cap(self, rng):
+        # one gain per block at N = 9,870: 64 gains peak where one solve does
+        g = random_connected_graph(rng, 141)
+        tracemalloc.start()
+        try:
+            rows = sweep_gain(g, 2, LAW1, list(10.0 ** np.linspace(-3, 2, 64)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 64 and peak < 4 * 2**20
+
+
 class TestLaw1FromCosts:
     """Law-1 answers from the costs equal those of the exact table W, bit for bit.
 
@@ -501,7 +513,8 @@ class TestLaw1FromCosts:
                         g = Graph(n, tuple((i, j, float(np.exp(rng.uniform(-6, 6)))) for i, j, _ in g.edges))
                     for gain in 10.0 ** rng.uniform(-20, 8, 3):
                         m, exact = build_matrix(g, gain, f, LAW1), exact_game(g, gain, f, LAW1)
-                        assert m._law1_row_max().tobytes() == exact._row_max(exact.rows).tobytes()
+                        row_max = game_module._law1_row_max(m, [gain])[0]
+                        assert row_max.tobytes() == exact._row_max(exact.rows).tobytes()
                         saddle = find_nash(m)
                         assert saddle == find_nash(exact)
                         assert solve(m) == solve(exact)
@@ -511,6 +524,27 @@ class TestLaw1FromCosts:
                         assert "rows" not in vars(m)
                         saddles += saddle is not None
         assert saddles > 50
+
+    def test_sweeps_equal_per_gain_solves(self, rng, monkeypatch):
+        # blocks of 1-3 gains: every sweep here spans several of `_law1_leaders`' blocks
+        monkeypatch.setattr(game_module, "_BLOCK_CELLS", 100)
+        for n in range(2, 10):
+            for f in range(1, min(n, 3) + 1):  # n < 2f included
+                for weighted in (False, True):
+                    g = random_connected_graph(rng, n)
+                    if weighted:
+                        g = Graph(n, tuple((i, j, float(np.exp(rng.uniform(-6, 6)))) for i, j, _ in g.edges))
+                    gains = list(10.0 ** rng.uniform(-20, 3, 4))
+                    kbar = nash_threshold(g, f)
+                    if 0.0 < kbar < math.inf:  # the threshold and one ulp on either side
+                        gains += [np.nextafter(kbar, 0.0), kbar, np.nextafter(kbar, math.inf)]
+                    expected = [solve(build_matrix(g, gain, f, LAW1)) for gain in gains]
+                    assert expected == [solve(exact_game(g, gain, f, LAW1)) for gain in gains]
+                    rows = sweep_gain(g, f, LAW1, gains)
+                    assert [(r.kappa, r.kind, r.defender_set, r.attacker_set, r.value) for r in rows] == [
+                        (float(gain), e.kind, e.defender_set, e.attacker_set, e.value)
+                        for gain, e in zip(gains, expected)
+                    ]
 
     def test_rounding_saddles_off_the_diagonal(self):
         # 1 + 1e-20 rounds to 1: defended cells tie undefended ones, and the
@@ -581,6 +615,18 @@ class TestCertifiedRows:
             w, tau = m.approx
             assert tau == 0.0 and w is m.rows
             assert (solve(m), predict_equilibrium(m)) == answers
+
+    def test_law2_sweep_inverts_g_once(self, rng, monkeypatch):
+        g = random_connected_graph(rng, 9)
+        gains = [0.2, 1.0, 5.0]
+        expected = [solve(build_matrix(g, gain, 2, LAW2)) for gain in gains]
+        calls = []
+        monkeypatch.setattr(game_module, "shifted_inverse",
+                            lambda g, a: calls.append(a) or shifted_inverse(g, a))
+        rows = sweep_gain(g, 2, LAW2, gains)
+        assert len(calls) == 1
+        assert [(r.kind, r.defender_set, r.attacker_set, r.value) for r in rows] == [
+            (e.kind, e.defender_set, e.attacker_set, e.value) for e in expected]
 
     def test_dense_ties(self, monkeypatch):
         # symmetric graphs: many rows share their largest payoff exactly

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -226,6 +227,31 @@ class TestDistancesAndCenter:
     def test_distances_ignore_weights(self):
         g = Graph(3, ((0, 1, 10.0), (1, 2, 0.1)))
         assert distances(g)[0, 2] == 2
+
+    @staticmethod
+    def _bfs(g: Graph) -> np.ndarray:
+        """Hop counts by one queue-based breadth-first search per source."""
+        adj = g.neighbors()
+        dist = np.full((g.n, g.n), -1, dtype=int)
+        for s in range(g.n):
+            dist[s, s] = 0
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for v in adj[u]:
+                    if dist[s, v] < 0:
+                        dist[s, v] = dist[s, u] + 1
+                        queue.append(v)
+        return dist
+
+    def test_distances_equal_one_bfs_per_source(self, rng):
+        graphs = [Graph(1, ()), path_graph(2), path_graph(40), star_graph(30), cycle_graph(25)]
+        for k in range(30):
+            n = int(rng.integers(2, 60))
+            graphs.append(random_connected_graph(rng, n, tree=k % 3 == 0, weighted=k % 2 == 1))
+        for g in graphs:
+            d = distances(g)
+            assert d.dtype == self._bfs(g).dtype and np.array_equal(d, self._bfs(g))
 
 
 class TestBuilders:

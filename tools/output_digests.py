@@ -10,6 +10,9 @@ diff:
     python3 <other checkout>/tools/output_digests.py --seeds 0-10 > before.txt
     diff before.txt after.txt
 
+`--workloads sweep-law1,solve-law2` runs only those workloads, in the
+order of benchmarks/workloads.py, so checking one takes seconds.
+
 The `resgame` and `benchmarks` imported are those of the checkout that
 holds this script. BLAS runs on one thread unless OMP_NUM_THREADS or
 OPENBLAS_NUM_THREADS is set: a threaded eigensolver can move the last bit
@@ -39,6 +42,8 @@ def _seeds(text: str) -> list[int]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seeds, default=[0], help='e.g. "0-10" or "1,4,7"')
+    parser.add_argument("--workloads", type=lambda text: text.split(","), default=None,
+                        help='e.g. "sweep-law1,solve-law2" (default: all four)')
     args = parser.parse_args()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # before NumPy loads BLAS
@@ -46,9 +51,13 @@ def main() -> int:
     from benchmarks import workloads
     from resgame.cli import main as resgame_main
 
+    chosen = workloads.WORKLOADS if args.workloads is None else args.workloads
+    unknown = sorted(set(chosen) - set(workloads.WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; choose from {list(workloads.WORKLOADS)}")
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
-            for name in workloads.WORKLOADS:
+            for name in (name for name in workloads.WORKLOADS if name in chosen):
                 task_list = workloads.tasks(name, seed)
                 work = Path(tmp) / f"{name}-{seed}"
                 for task, graph in zip(task_list, workloads.write_inputs(task_list, work)):
