@@ -20,7 +20,6 @@ from .dynamics import Scenario, h2_closed_form, h2_energy_oracle
 from .errors import ConfigError, ConvergenceError, EnumerationLimitError, GraphError
 from .graphcore import degree_profile, eccentricities, near_minima
 from .resistance import effective_eccentricities
-from .verify import run_suites
 
 
 def _parse_nodes(text: str | None) -> tuple[int, ...]:
@@ -231,6 +230,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites  # only this command compiles and runs the suites
+
     results = run_suites(
         seed=args.seed,
         trials=args.trials,

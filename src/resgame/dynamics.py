@@ -123,7 +123,10 @@ def assemble(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
     n, f = s.graph.n, s.budget
     h = _feedback(s)
     coupling = laplacian(s.graph) if s.law is ControlLaw.ABS_VELOCITY else h
-    a = np.block([[np.zeros((n, n)), np.eye(n)], [-coupling, -h]])
+    a = np.zeros((2 * n, 2 * n))
+    np.fill_diagonal(a[:n, n:], 1.0)
+    a[n:, :n] = -coupling
+    a[n:, n:] = -h
     b2 = np.zeros((2 * n, 2 * f))
     b2[[*s.attack_set, *(n + i for i in s.attack_set)], range(2 * f)] = 1.0
     return a, b2
@@ -151,7 +154,10 @@ def _law1_gramian(s: Scenario) -> tuple[np.ndarray, np.ndarray, float]:
 
     n = s.graph.n
     u = scipy.linalg.null_space(np.ones((1, n)))
-    a_r = np.block([[np.zeros((n - 1, n - 1)), u.T], [-laplacian(s.graph) @ u, -_feedback(s)]])
+    a_r = np.zeros((2 * n - 1, 2 * n - 1))
+    a_r[: n - 1, n - 1 :] = u.T
+    a_r[n - 1 :, : n - 1] = -laplacian(s.graph) @ u
+    a_r[n - 1 :, n - 1 :] = -_feedback(s)
     ctc = np.diag(np.concatenate([np.zeros(n - 1), np.ones(n)]))
     q = scipy.linalg.solve_continuous_lyapunov(a_r.T, -ctc)
     residual = float(np.abs(a_r.T @ q + q @ a_r + ctc).max())

@@ -277,62 +277,71 @@ _UNIT_ROUNDOFF = 2.0**-53
 _CHUNK_BYTES = 1 << 17
 
 
-def _shifted(g: Graph) -> tuple[np.ndarray, np.ndarray, float, float] | None:
-    """(G, diag G, d_max, max R) for `_low_rank_rows`, None when G does not factor; no gain enters it."""
+def _shifted(g: Graph) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
+    """(G, diag G, d_max, R) for `_low_rank_rows`, None when G does not factor; no gain enters it.
+
+    R is the n x n resistance matrix read from G, R_vi = G_vv - 2 G_vi + G_ii.
+    """
     d_max = float(degrees(g).max())
     try:
         big_g = shifted_inverse(g, d_max)
     except np.linalg.LinAlgError:
         return None
     diag = np.diag(big_g)
-    return big_g, diag, d_max, float((diag[:, None] - 2.0 * big_g + diag).max())
+    return big_g, diag, d_max, diag[:, None] - 2.0 * big_g + diag
 
 
 def _low_rank_rows(shifted: tuple, gain: float, defender_sets: np.ndarray) -> tuple[np.ndarray, float]:
     """Law-2 W for the (R, f) node array from one n x n inverse, and a bound τ on its error.
 
-    `shifted` is `_shifted(g)`, (G, diag G, a, max R) with
-    G = shifted_inverse(g, a) and a = d_max. Then
-    L + κP_D = G⁻¹ - a 11ᵀ/n + κP_D and G1 = 1/a. Woodbury with
+    `shifted` is `_shifted(g)`, (G, diag G, a, R) with
+    G = shifted_inverse(g, a), a = d_max and R the resistance matrix.
+    For f = 1, D = {v}, the row is (1/κ + R[v]) / 2, read from R in O(n).
+    For f ≥ 2, L + κP_D = G⁻¹ - a 11ᵀ/n + κP_D and G1 = 1/a. Woodbury with
     U = [1, G e_D] and K = [[0, 1ᵀ], [1, M]], M = I/κ + G_DD, with the
     ones row of K eliminated by hand, gives for g_i = G[D, i]
     diag((L + κP_D)⁻¹)_i = G_ii - g_iᵀM⁻¹g_i + (1ᵀM⁻¹g_i - 1)² / 1ᵀM⁻¹1:
     one f x f inverse and O(n f² + f³) per row, with no solve over n
-    right-hand sides, batched in chunks of _CHUNK_BYTES. For f = 1,
-    D = {v}, this is 1/κ + R_vi, with R the resistance matrix.
+    right-hand sides, batched in chunks of _CHUNK_BYTES. At f = 1 this is
+    1/κ + R_vi, the closed form above.
 
     τ = 8 n u ĉ max|W̃|, with u the unit roundoff and
     ĉ = (2 d_max + κ) n (1/κ + max R) ≥ cond₂(L + κP_D) for every D:
     Gershgorin bounds ‖L + κP_D‖₂ by 2 d_max + κ, and for v in D,
     ‖(L + κP_D)⁻¹‖₂ ≤ tr((L + κP_v)⁻¹) = Σᵢ (1/κ + R_vi). Only that
     bound on cond₂ is proven. That n u ĉ max|W̃| bounds |W̃ - W|, which
-    adds the rounding of G, of the f x f inverses and of the factored rows,
-    is the usual first-order estimate, and the factor 8 was calibrated, not
-    derived: on 2- and 3-node graphs the factored rows alone are off by up
-    to 0.5 n u ĉ max|W̃|. tests/test_game.py checks |W̃ - W| ≤ τ/8 on random
-    unit-weight graphs, cycles, stars, complete graphs, twin leaves,
-    weights 10^±6 with gains 1e-8 and 1e8, and the 150-node path.
+    adds the rounding of G, of R or the f x f inverses, and of the factored
+    rows, is the usual first-order estimate, and the factor 8 was
+    calibrated, not derived: on 2- and 3-node graphs the factored rows
+    alone are off by up to 0.5 n u ĉ max|W̃|. tests/test_game.py checks
+    |W̃ - W| ≤ τ/8 on random unit-weight graphs, cycles, stars, complete
+    graphs, twin leaves, weights 10^±6 with gains 1e-8 and 1e8, and the
+    150-node path.
     """
-    big_g, diag, d_max, r_max = shifted
+    big_g, diag, d_max, r = shifted
     n, f = len(big_g), defender_sets.shape[1]
-    c_hat = (2.0 * d_max + gain) * n * (1.0 / gain + r_max)
-    w = np.empty((len(defender_sets), n))
-    # per row, g and M⁻¹g take f rows of n floats each and p and q one each
-    step = max(1, _CHUNK_BYTES // (8 * n * (f + 1)))
-    for lo in range(0, len(w), step):
-        sets = defender_sets[lo : lo + step]
-        gd = big_g[sets]
-        m = big_g[sets[:, :, None], sets[:, None, :]]
-        m[:, range(f), range(f)] += 1.0 / gain
-        m_inv = np.linalg.inv(m)
-        a = m_inv @ gd
-        p = np.einsum("ckn->cn", a)  # 1ᵀM⁻¹g_i
-        q = np.einsum("ckn,ckn->cn", a, gd)  # g_iᵀM⁻¹g_i
-        p -= 1.0
-        p *= p
-        p /= m_inv.sum(axis=(1, 2))[:, None]
-        p -= q
-        np.add(diag, p, out=w[lo : lo + len(sets)])
+    c_hat = (2.0 * d_max + gain) * n * (1.0 / gain + float(r.max()))
+    if f == 1:
+        w = r[defender_sets[:, 0]]
+        w += 1.0 / gain
+    else:
+        w = np.empty((len(defender_sets), n))
+        # per row, g and M⁻¹g take f rows of n floats each and p and q one each
+        step = max(1, _CHUNK_BYTES // (8 * n * (f + 1)))
+        for lo in range(0, len(w), step):
+            sets = defender_sets[lo : lo + step]
+            gd = big_g[sets]
+            m = big_g[sets[:, :, None], sets[:, None, :]]
+            m[:, range(f), range(f)] += 1.0 / gain
+            m_inv = np.linalg.inv(m)
+            a = m_inv @ gd
+            p = np.einsum("ckn->cn", a)  # 1ᵀM⁻¹g_i
+            q = np.einsum("ckn,ckn->cn", a, gd)  # g_iᵀM⁻¹g_i
+            p -= 1.0
+            p *= p
+            p /= m_inv.sum(axis=(1, 2))[:, None]
+            p -= q
+            np.add(diag, p, out=w[lo : lo + len(sets)])
     w *= 0.5
     return w, 8.0 * n * _UNIT_ROUNDOFF * c_hat * float(np.abs(w).max())
 

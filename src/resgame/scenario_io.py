@@ -378,7 +378,11 @@ def json_pieces(report: dict):
     written as its .tolist() would be, one row per piece, so a report
     holding an N x N matrix needs O(N) memory beyond the array, or
     O(N + k) when its k distinct values are formatted once (`_repeats`).
+    A report with no ndarray is that text as one piece.
     """
+    if not any(isinstance(value, np.ndarray) for value in report.values()):
+        yield json.dumps(report, indent=2, sort_keys=True)
+        return
     head = "{"
     for key in sorted(report):
         value = report[key]

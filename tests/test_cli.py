@@ -343,6 +343,16 @@ def test_law1_and_centrality_never_load_scipy(tmp_path):
     assert law2_code == 0 and after
 
 
+def test_cli_import_leaves_verify_unloaded():
+    # only `resgame verify` imports the suites, so no other command compiles them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, resgame.cli; print('resgame.verify' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.split() == ["False"]
+
+
 # Imports the CLI, runs the jobs {name: argv} with `resgame.cli.main`, then
 # one law-2 matrix export, and prints the exit codes and whether the repr
 # kernel's tables had been built after the import, the jobs and the export.

@@ -596,15 +596,32 @@ class TestCertifiedRows:
         assert self._check(monkeypatch, games) == 12
 
     def test_single_defender_rows_are_resistances(self, rng):
-        # f = 1, D = {v}: W̃[v] = (1/κ + R[v]) / 2, with R_vi = G_vv + G_ii - 2 G_vi from the same G
+        # f = 1, D = {v}: W̃[v] = (R[v] + 1/κ) / 2 bit for bit, R_vi = G_vv - 2 G_vi + G_ii from the same G
         for _ in range(6):
             g = random_connected_graph(rng, int(rng.integers(2, 30)))
             big_g = shifted_inverse(g, float(degrees(g).max()))
             d = np.diag(big_g)
+            r = d[:, None] - 2.0 * big_g + d
             for gain in (1e-3, 1.0, 1e3):
                 w, tau = build_matrix(g, gain, 1, LAW2).approx
                 assert 0.0 < tau
-                assert np.abs(w - 0.5 * (1.0 / gain + d[:, None] + d - 2.0 * big_g)).max() <= tau
+                assert w.tobytes() == (0.5 * (r + 1.0 / gain)).tobytes()
+
+    def test_single_defender_solves_make_no_small_inverses(self, rng, monkeypatch):
+        # f = 1 rows come from R alone; only f >= 2 rows take an f x f inverse per row
+        g = random_connected_graph(rng, 12)
+        gains = [0.2, 1.0, 5.0]
+        expected = {f: [solve(exact_game(g, gain, f, LAW2)) for gain in gains] for f in (1, 2)}
+        shapes = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(game_module.np.linalg, "inv", lambda a: shapes.append(a.shape[1:]) or inv(a))
+        assert [solve(build_matrix(g, gain, 1, LAW2)) for gain in gains] == expected[1]
+        rows = sweep_gain(g, 1, LAW2, gains)
+        assert [(r.kind, r.defender_set, r.attacker_set, r.value) for r in rows] == [
+            (e.kind, e.defender_set, e.attacker_set, e.value) for e in expected[1]]
+        assert shapes == []
+        assert solve(build_matrix(g, 1.0, 2, LAW2)) == expected[2][1]
+        assert shapes and set(shapes) == {(2, 2)}
 
     def test_non_finite_low_rank_table_falls_back_to_exact_rows(self, rng, monkeypatch):
         g = random_connected_graph(rng, 9)

@@ -305,6 +305,10 @@ class TestJsonRenderer:
         expected = json.dumps(plain, indent=2, sort_keys=True)
         assert "".join(json_pieces(report)) == expected
 
+    def test_array_free_report_is_one_piece(self):
+        report = {"kind": "nash", "value": 0.1, "defender_set": [0, 2], "nested": {"b": [], "a": None}}
+        assert list(json_pieces(report)) == [json.dumps(report, indent=2, sort_keys=True)]
+
     def test_matrix_report_streams_rows(self, tmp_path):
         values = np.random.default_rng(0).random((600, 600))
         report = {"law": 1, "gain": 0.5, "f": 1, "subsets": [[i] for i in range(600)],
