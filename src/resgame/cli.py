@@ -199,7 +199,8 @@ def cmd_solve(args) -> int:
     predicted = game.predict_equilibrium(m)
     report = asdict(solved)
     report["prediction"] = asdict(predicted)
-    report["prediction_match"] = abs(predicted.value - solved.value) <= 1e-9
+    # relative: law-2 values grow like 1/(2 gain); both laws' values are positive
+    report["prediction_match"] = abs(predicted.value - solved.value) <= 1e-9 * abs(solved.value)
     _emit_json(report, args.out)
     return 0
 

@@ -4,6 +4,11 @@ Each suite draws random connected graphs and checks one family of
 invariants: linear-algebra structure, agreement of independent
 computation routes, monotonicity laws, and the closed-form equilibrium
 characterizations against brute-force solves.
+
+The suites are the module's `check_*` functions, in definition order,
+each named by its function (`check_law2_no_ne` is `law2-no-ne`). Every
+numeric check but the strict ones is one value against one bound
+(`_within`), which a NaN fails.
 """
 
 from __future__ import annotations
@@ -61,8 +66,27 @@ def random_connected_graph(
     return Graph(n, tuple((i, j, w) for (i, j), w in edges.items()))
 
 
+def _graph(rng, low: int, nmax: int, weighted: bool | None = False) -> Graph:
+    """n from [low, nmax], a weight coin if `weighted` is None, then the graph."""
+    n = int(rng.integers(low, nmax + 1))
+    if weighted is None:
+        weighted = bool(rng.integers(0, 2))
+    return random_connected_graph(rng, n, weighted=weighted)
+
+
+def _nodes(rng, n: int, k: int) -> tuple[int, ...]:
+    """k distinct nodes of n, sorted."""
+    return tuple(sorted(int(i) for i in rng.choice(n, k, replace=False)))
+
+
 def _fail(name: str, detail: str):
     raise VerificationFailure(f"invariant '{name}' violated: {detail}")
+
+
+def _within(name: str, value, bound, detail: str) -> None:
+    """Fail invariant `name` unless value <= bound; a NaN value fails."""
+    if not value <= bound:
+        _fail(name, detail)
 
 
 def _bfs_ecc(g: Graph, s: int) -> int:
@@ -82,20 +106,18 @@ def _bfs_ecc(g: Graph, s: int) -> int:
 
 def check_laplacian_structure(rng, trials, nmax, fault=None):
     for _ in range(trials):
-        n = int(rng.integers(2, nmax + 1))
-        g = random_connected_graph(rng, n, weighted=bool(rng.integers(0, 2)))
+        g = _graph(rng, 2, nmax, None)
+        n = g.n
         lap = laplacian(g)
         if fault == "laplacian-sign":
             lap = -lap
         # bit-exact for unit weights; float weights leave rounding residue
         tol = 0.0 if g.has_unit_weights else 1e-12 * n * max(w for _, _, w in g.edges)
-        if np.abs(lap @ np.ones(n)).max() > tol:
-            _fail("laplacian-zero-rowsum", f"n={n}, edges={g.edges}")
+        _within("laplacian-zero-rowsum", np.abs(lap @ np.ones(n)).max(), tol, f"n={n}, edges={g.edges}")
         vals = np.linalg.eigvalsh(lap)
         if int((np.abs(vals) < 1e-9).sum()) != 1:
             _fail("laplacian-single-zero-mode", f"eigs={vals}")
-        if (vals < -1e-9).any():
-            _fail("laplacian-psd", f"eigs={vals}")
+        _within("laplacian-psd", -vals.min(), 1e-9, f"eigs={vals}")
         dmat = distances(g)
         brute = [_bfs_ecc(g, v) for v in range(n)]
         ecc = dmat.max(axis=1)
@@ -109,8 +131,8 @@ def check_laplacian_structure(rng, trials, nmax, fault=None):
 
 def check_resistance_routes(rng, trials, nmax, fault=None):
     for _ in range(trials):
-        n = int(rng.integers(2, nmax + 1))
-        g = random_connected_graph(rng, n, weighted=True)
+        g = _graph(rng, 2, nmax, True)
+        n = g.n
         rmat = resistance_matrix(g)
         lap = laplacian(g)
         # independent route: ground at j, read the grounded inverse at i
@@ -118,39 +140,32 @@ def check_resistance_routes(rng, trials, nmax, fault=None):
         keep = [i for i in range(n) if i != j]
         grounded = np.linalg.inv(lap[np.ix_(keep, keep)])
         for pos, i in enumerate(keep):
-            if abs(rmat[i, j] - grounded[pos, pos]) > 1e-9:
-                _fail(
-                    "resistance-pinv-vs-grounded",
-                    f"pair ({i},{j}): {rmat[i, j]} vs {grounded[pos, pos]}",
-                )
+            _within("resistance-pinv-vs-grounded", abs(rmat[i, j] - grounded[pos, pos]), 1e-9,
+                    f"pair ({i},{j}): {rmat[i, j]} vs {grounded[pos, pos]}")
         tree = random_connected_graph(rng, n, tree=True)
-        if np.abs(resistance_matrix(tree) - distances(tree)).max() > 1e-9:
-            _fail("tree-resistance-equals-distance", f"edges={tree.edges}")
+        _within("tree-resistance-equals-distance",
+                np.abs(resistance_matrix(tree) - distances(tree)).max(), 1e-9, f"edges={tree.edges}")
 
 
-def check_grounded_extended(rng, trials, nmax, fault=None):
+def check_grounded_vs_extended(rng, trials, nmax, fault=None):
     for _ in range(trials):
-        n = int(rng.integers(2, nmax + 1))
-        g = random_connected_graph(rng, n, weighted=bool(rng.integers(0, 2)))
+        g = _graph(rng, 2, nmax, None)
+        n = g.n
         kappa = float(rng.choice([0.1, 1.0, 10.0]))
-        nd = int(rng.integers(1, min(3, n) + 1))
-        dset = tuple(sorted(int(i) for i in rng.choice(n, nd, replace=False)))
+        dset = _nodes(rng, n, int(rng.integers(1, min(3, n) + 1)))
         gdiag = grounded_inverse_diag(GroundedSystem(g, dset, kappa))
-        ext = extended_graph(g, dset, kappa)
-        pinv = laplacian_pinv(ext)
+        pinv = laplacian_pinv(extended_graph(g, dset, kappa))
         for i in range(n):
             r_virtual = pinv[i, i] + pinv[n, n] - 2.0 * pinv[i, n]
-            if abs(gdiag[i] - r_virtual) / max(abs(r_virtual), 1e-30) > 1e-9:
-                _fail(
-                    "grounded-diag-vs-extended-pinv",
-                    f"node {i}: {gdiag[i]} vs {r_virtual}",
-                )
+            _within("grounded-diag-vs-extended-pinv",
+                    abs(gdiag[i] - r_virtual) / max(abs(r_virtual), 1e-30), 1e-9,
+                    f"node {i}: {gdiag[i]} vs {r_virtual}")
 
 
 def check_rayleigh_monotonicity(rng, trials, nmax, fault=None):
     for _ in range(trials):
-        n = int(rng.integers(3, nmax + 1))
-        g = random_connected_graph(rng, n, weighted=bool(rng.integers(0, 2)))
+        g = _graph(rng, 3, nmax, None)
+        n = g.n
         present = {(i, j) for i, j, _ in g.edges}
         missing = [
             (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in present
@@ -167,39 +182,33 @@ def check_rayleigh_monotonicity(rng, trials, nmax, fault=None):
                     for a, b, ww in g.edges
                 ),
             )
-        if (resistance_matrix(g2) - resistance_matrix(g) > 1e-9).any():
-            _fail("resistance-edge-monotonicity", f"added/upgraded ({i},{j})")
+        _within("resistance-edge-monotonicity", (resistance_matrix(g2) - resistance_matrix(g)).max(),
+                1e-9, f"added/upgraded ({i},{j})")
         kappa = float(rng.choice([0.5, 1.0, 2.0]))
-        dset = tuple(sorted(int(i) for i in rng.choice(n, 2, replace=False)))
+        dset = _nodes(rng, n, 2)
         g1d = grounded_inverse_diag(GroundedSystem(g, dset, kappa))
         g2d = grounded_inverse_diag(GroundedSystem(g2, dset, kappa))
-        if (g2d - g1d > 1e-9).any():
-            _fail("grounded-diag-edge-monotonicity", f"D={dset}")
+        _within("grounded-diag-edge-monotonicity", (g2d - g1d).max(), 1e-9, f"D={dset}")
 
 
 def check_gain_monotonicity(rng, trials, nmax, fault=None):
-    grid = [0.2, 0.5, 1.0, 2.0, 5.0]
     for _ in range(trials):
-        n = int(rng.integers(2, nmax + 1))
-        g = random_connected_graph(rng, n)
-        dset = tuple(sorted(int(i) for i in rng.choice(n, 1 + int(rng.integers(0, min(2, n))), replace=False)))
+        g = _graph(rng, 2, nmax)
+        dset = _nodes(rng, g.n, 1 + int(rng.integers(0, min(2, g.n))))
         prev = None
-        for kappa in grid:
+        for kappa in [0.2, 0.5, 1.0, 2.0, 5.0]:
             cur = grounded_inverse_diag(GroundedSystem(g, dset, kappa))
-            if prev is not None and not (cur < prev - 0.0).all():
+            if prev is not None and not (cur < prev).all():
                 _fail("grounded-diag-gain-decreasing", f"kappa={kappa}, D={dset}")
             prev = cur
 
 
 def _random_scenario(rng, nmax, law, allow_empty_defense):
-    n = int(rng.integers(3, nmax + 1))
-    g = random_connected_graph(rng, n)
+    g = _graph(rng, 3, nmax)
+    n = g.n
     kappa = float(rng.choice([0.2, 1.0, 5.0]))
-    low = 0 if allow_empty_defense else 1
-    nd = int(rng.integers(low, n + 1))
-    dset = tuple(sorted(int(i) for i in rng.choice(n, nd, replace=False)))
-    na = int(rng.integers(1, n + 1))
-    aset = tuple(sorted(int(i) for i in rng.choice(n, na, replace=False)))
+    dset = _nodes(rng, n, int(rng.integers(0 if allow_empty_defense else 1, n + 1)))
+    aset = _nodes(rng, n, int(rng.integers(1, n + 1)))
     return Scenario(g, law, kappa, dset, aset)
 
 
@@ -208,39 +217,34 @@ def check_h2_oracle_law2(rng, trials, nmax, fault=None):
         s = _random_scenario(rng, nmax, ControlLaw.REL_VELOCITY, False)
         cf = h2_closed_form(s).value_sq
         oracle = h2_energy_oracle(s).value_sq
-        if abs(cf - oracle) / cf > 1e-6:
-            _fail("h2-closed-vs-oracle-law2", f"{cf} vs {oracle} on {s}")
+        _within("h2-closed-vs-oracle-law2", abs(cf - oracle) / cf, 1e-6, f"{cf} vs {oracle} on {s}")
 
 
 def check_h2_oracle_law1_undefended(rng, trials, nmax, fault=None):
     # law 1 with no defended node; under this uniform damping the exact H2
     # checked here also equals the game's damped-degree payoff
     for _ in range(trials):
-        n = int(rng.integers(3, nmax + 1))
-        g = random_connected_graph(rng, n)
-        na = int(rng.integers(1, n + 1))
-        aset = tuple(sorted(int(i) for i in rng.choice(n, na, replace=False)))
+        g = _graph(rng, 3, nmax)
+        aset = _nodes(rng, g.n, int(rng.integers(1, g.n + 1)))
         s = Scenario(g, ControlLaw.ABS_VELOCITY, 1.0, (), aset)
         cf = h2_closed_form(s).value_sq
         oracle = h2_energy_oracle(s).value_sq
-        if abs(cf - oracle) / cf > 1e-6:
-            _fail("h2-closed-vs-oracle-law1-undefended", f"{cf} vs {oracle}")
+        _within("h2-closed-vs-oracle-law1-undefended", abs(cf - oracle) / cf, 1e-6, f"{cf} vs {oracle}")
 
 
 def check_lyapunov_blocks(rng, trials, nmax, fault=None):
     for _ in range(trials):
         s = _random_scenario(rng, nmax, ControlLaw.ABS_VELOCITY, True)
         res = lyapunov_residual(s)
-        if res > 1e-12:
-            _fail("lyapunov-block-residual", f"residual {res} on {s}")
+        _within("lyapunov-block-residual", res, 1e-12, f"residual {res} on {s}")
 
 
 def check_law1_closed_form(rng, trials, nmax, fault=None):
     # the law-1 predictor against the brute-force solve for f = 1-3 on unit
     # and weighted graphs, with the gain on both sides of the NE threshold
     for t in range(trials):
-        n = int(rng.integers(2, nmax + 1))
-        g = random_connected_graph(rng, n, weighted=bool(rng.integers(0, 2)))
+        g = _graph(rng, 2, nmax, None)
+        n = g.n
         f = int(rng.integers(1, min(3, n) + 1))
         kbar = game.nash_threshold(g, f)
         spread = float(10.0 ** rng.uniform(-3.0, 1.0))
@@ -262,8 +266,7 @@ def check_law1_closed_form(rng, trials, nmax, fault=None):
 
 def check_law2_no_ne(rng, trials, nmax, fault=None):
     for _ in range(trials):
-        n = int(rng.integers(2, nmax + 1))
-        g = random_connected_graph(rng, n)
+        g = _graph(rng, 2, nmax)
         kappa = float(rng.choice([0.5, 1.0, 2.0]))
         m = game.build_matrix(g, kappa, 1, ControlLaw.REL_VELOCITY)
         if game.find_nash(m) is not None:
@@ -272,30 +275,23 @@ def check_law2_no_ne(rng, trials, nmax, fault=None):
 
 def check_payoff_structure(rng, trials, nmax, fault=None):
     for _ in range(trials):
-        n = int(rng.integers(2, nmax + 1))
-        g = random_connected_graph(rng, n)
+        g = _graph(rng, 2, nmax)
+        n = g.n
         kappa = float(rng.uniform(0.1, 3.0))
         m1 = game.build_matrix(g, kappa, 1, ControlLaw.ABS_VELOCITY)
         col_argmin = m1.values.argmin(axis=0)
         if not np.array_equal(col_argmin, np.arange(n)):
             _fail("law1-column-min-on-diagonal", f"argmin={col_argmin}")
-        m2 = game.build_matrix(g, kappa, 1, ControlLaw.REL_VELOCITY)
-        v = m2.values
+        v = game.build_matrix(g, kappa, 1, ControlLaw.REL_VELOCITY).values
         for i in range(n):
-            row_others = np.delete(v[i], i)
-            col_others = np.delete(v[:, i], i)
-            if n > 1 and not (
-                (v[i, i] < row_others).all() and (v[i, i] < col_others).all()
-            ):
+            if not ((v[i, i] < np.delete(v[i], i)).all() and (v[i, i] < np.delete(v[:, i], i)).all()):
                 _fail("law2-diagonal-strict-minimum", f"i={i}")
-        # law-1 value ignores defenses placed outside the attacked set
+        # law-1 value ignores defenses placed outside the attacked set: node
+        # 0 defended, or node 1 when 0 is the one attacked
         attack = (int(rng.integers(0, n)),)
-        others = [i for i in range(n) if i not in attack]
         base = game.payoff_j1(g, kappa, attack, ())
-        if others:
-            moved = game.payoff_j1(g, kappa, attack, (others[0],))
-            if abs(base - moved) != 0.0:
-                _fail("law1-defense-outside-attack-irrelevant", f"{base} vs {moved}")
+        moved = game.payoff_j1(g, kappa, attack, (int(attack[0] == 0),))
+        _within("law1-defense-outside-attack-irrelevant", abs(base - moved), 0.0, f"{base} vs {moved}")
         # every law-1 column's minimum is its own row's cell, in floating
         # point too, at any gain: the diagonal rule of `find_nash`
         for f in (2, 3):
@@ -308,21 +304,15 @@ def check_payoff_structure(rng, trials, nmax, fault=None):
 
 def check_attack_monotonicity(rng, trials, nmax, fault=None):
     for _ in range(trials):
-        n = int(rng.integers(3, nmax + 1))
-        g = random_connected_graph(rng, n)
+        g = _graph(rng, 3, nmax)
         kappa = float(rng.uniform(0.1, 3.0))
-        nodes = list(rng.permutation(n))
+        nodes = list(rng.permutation(g.n))
         small = tuple(sorted(int(i) for i in nodes[:2]))
         big = tuple(sorted(int(i) for i in nodes[:3]))
         dset = (int(nodes[-1]),)
-        if game.payoff_j1(g, kappa, small, dset) > game.payoff_j1(
-            g, kappa, big, dset
-        ) + 1e-12:
-            _fail("attack-superset-monotonicity-law1", f"{small} vs {big}")
-        if game.payoff_j2(g, kappa, small, dset) > game.payoff_j2(
-            g, kappa, big, dset
-        ) + 1e-12:
-            _fail("attack-superset-monotonicity-law2", f"{small} vs {big}")
+        for law, payoff in (("law1", game.payoff_j1), ("law2", game.payoff_j2)):
+            _within(f"attack-superset-monotonicity-{law}", payoff(g, kappa, small, dset),
+                    payoff(g, kappa, big, dset) + 1e-12, f"{small} vs {big}")
 
 
 def check_center_predictions(rng, trials, nmax, fault=None):
@@ -334,28 +324,23 @@ def check_center_predictions(rng, trials, nmax, fault=None):
         tree = random_connected_graph(rng, n, tree=True)
         m = game.build_matrix(tree, kappa, 1, ControlLaw.REL_VELOCITY)
         rep = game.stackelberg_defender_leader(m)
-        ecc = distances(tree).max(axis=1)
-        expected = 0.5 + 0.5 / kappa + 0.5 * ecc.min()
-        if abs(rep.value - expected) > 1e-9:
-            _fail("tree-center-value", f"{rep.value} vs {expected}")
+        expected = 0.5 + 0.5 / kappa + 0.5 * distances(tree).max(axis=1).min()
+        _within("tree-center-value", abs(rep.value - expected), 1e-9, f"{rep.value} vs {expected}")
         if rep.defender_set[0] not in set(center(tree)):
             _fail("tree-center-row", f"{rep.defender_set} vs {center(tree)}")
         # general graphs: effective center
         g = random_connected_graph(rng, n)
         m = game.build_matrix(g, kappa, 1, ControlLaw.REL_VELOCITY)
         rep = game.stackelberg_defender_leader(m)
-        eff = effective_eccentricities(g)
-        expected = 0.5 + 0.5 / kappa + 0.5 * eff.min()
-        if abs(rep.value - expected) > 1e-9:
-            _fail("effective-center-value", f"{rep.value} vs {expected}")
+        expected = 0.5 + 0.5 / kappa + 0.5 * effective_eccentricities(g).min()
+        _within("effective-center-value", abs(rep.value - expected), 1e-9, f"{rep.value} vs {expected}")
         if n >= 4:
             minimax.append((g, kappa))
     # those games meet no pure NE at f = 2, nor do weights e^U(-6, 6) on 3 or
     # more nodes at these gains; at f = n = 2 the one cell is a saddle
     for _ in range(trials):
-        n = int(rng.integers(2, 5))
-        edges = random_connected_graph(rng, n).edges
-        g = Graph(n, tuple((i, j, float(np.exp(rng.uniform(-6, 6)))) for i, j, _ in edges))
+        h = _graph(rng, 2, 4)
+        g = Graph(h.n, tuple((i, j, float(np.exp(rng.uniform(-6, 6)))) for i, j, _ in h.edges))
         minimax.append((g, float(rng.choice([0.5, 1.0, 2.0]))))
     # f = 2: the resistance min-max against one grounded factorization per
     # subset, its two largest entries (stable ties) and the first least
@@ -375,21 +360,9 @@ def check_center_predictions(rng, trials, nmax, fault=None):
             _fail("resistance-minimax-vs-subset-loop", f"{pred} vs {best}")
 
 
-SUITES = [
-    ("laplacian-structure", check_laplacian_structure),
-    ("resistance-routes", check_resistance_routes),
-    ("grounded-vs-extended", check_grounded_extended),
-    ("rayleigh-monotonicity", check_rayleigh_monotonicity),
-    ("gain-monotonicity", check_gain_monotonicity),
-    ("h2-oracle-law2", check_h2_oracle_law2),
-    ("h2-oracle-law1-undefended", check_h2_oracle_law1_undefended),
-    ("lyapunov-blocks", check_lyapunov_blocks),
-    ("law1-closed-form", check_law1_closed_form),
-    ("law2-no-ne", check_law2_no_ne),
-    ("payoff-structure", check_payoff_structure),
-    ("attack-monotonicity", check_attack_monotonicity),
-    ("center-predictions", check_center_predictions),
-]
+# every `check_*` function above, in definition order, named by its function
+SUITES = [(name[len("check_"):].replace("_", "-"), fn)
+          for name, fn in globals().items() if name.startswith("check_")]
 
 
 def run_suites(

@@ -473,6 +473,36 @@ class TestMatrixAndSolve:
         assert rep["prediction_match"] is True
         assert len(calls) == len(set(calls)) < math.comb(11, 2)
 
+    def test_prediction_match_is_relative_to_the_value(self, capsys, tmp_path):
+        # law 2 at gain 1e-3 on a 10-node star: the center prediction is 501
+        # exactly, the factored solve misses it by 1.2e-9, 2.5e-12 relative
+        path = tmp_path / "star10.txt"
+        path.write_text("".join(f"0 {i}\n" for i in range(1, 10)))
+        code, rep = run_json(capsys, ["solve", "--graph", str(path), "--law", "2",
+                                      "--gain", "1e-3", "--f", "1"])
+        assert code == 0
+        assert rep["prediction"]["value"] == 501.0
+        assert rep["prediction_match"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--f", "1"], ["h2", "--defense", "0", "--attack", "5"]],
+        ids=["solve", "h2"],
+    )
+    def test_failed_factorization_is_computation_error(self, capsys, tmp_path, argv):
+        # at gain 1e-16 the grounded Laplacian of a 30-node path has no
+        # positive 30th Cholesky pivot
+        path = tmp_path / "p30.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(29)))
+        out = tmp_path / "report.json"
+        code = main([*argv, "--graph", str(path), "--law", "2", "--gain", "1e-16",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("computation error: grounded Laplacian factorization failed: "
+                       "LAPACK potrf info=30\n")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_json_rows(self, capsys, p3):
