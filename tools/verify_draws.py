@@ -1,7 +1,7 @@
 """One sha256 of every random draw of each `verify` suite, for draw checks.
 
-Runs `resgame.verify.run_suites` for each seed and each (trials, nmax)
-size given, with every suite's generator wrapped so that each call to it
+Runs `resgame.verify.run_suites` for each seed given and each (trials,
+nmax) in SIZES, with every suite's generator wrapped so that each call to it
 (method name, arguments and result) feeds one sha256 per suite, and
 prints "<seed> <trials> <nmax> <suite> <digest> <calls> <status>" per
 suite, where status is "pass" or "fail". Two checkouts whose suites draw
@@ -12,12 +12,12 @@ the same lines:
     python3 <other checkout>/tools/verify_draws.py --seeds 0-3 > before.txt
     diff before.txt after.txt
 
-The default sizes are "15x8,4x6,2x3": the default ensemble, the one of
-the CLI tests, and the smallest allowed nmax.
+SIZES are the default ensemble, the one of the CLI tests, and the
+smallest allowed nmax.
 
 The `resgame` imported is that of the checkout that holds this script.
-BLAS runs on one thread unless OMP_NUM_THREADS or OPENBLAS_NUM_THREADS is
-set, as in tools/output_digests.py.
+The seed syntax and the one-thread BLAS start-up are those of
+tools/output_digests.py, whose `_seeds` this script imports.
 """
 
 from __future__ import annotations
@@ -28,20 +28,10 @@ import os
 import sys
 from pathlib import Path
 
+from output_digests import _seeds
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _seeds(text: str) -> list[int]:
-    """"3" or "0-10" (inclusive) or "1,4,7"."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
-
-
-def _sizes(text: str) -> list[tuple[int, int]]:
-    """"15x8,4x6": (trials, nmax) pairs."""
-    return [tuple(int(x) for x in pair.split("x")) for pair in text.split(",")]
+SIZES = ((15, 8), (4, 6), (2, 3))  # (trials, nmax)
 
 
 class _Recorder:
@@ -68,8 +58,6 @@ class _Recorder:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seeds, default=[0], help='e.g. "0-3" or "1,4,7"')
-    parser.add_argument("--sizes", type=_sizes, default=_sizes("15x8,4x6,2x3"),
-                        help='(trials)x(nmax) pairs, e.g. "15x8,2x3"')
     args = parser.parse_args()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # before NumPy loads BLAS
@@ -80,7 +68,7 @@ def main() -> int:
 
     suites = verify.SUITES
     for seed in args.seeds:
-        for trials, nmax in args.sizes:
+        for trials, nmax in SIZES:
             recorders = {}
 
             def wrap(name, fn):
