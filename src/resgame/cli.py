@@ -186,7 +186,7 @@ def cmd_matrix(args) -> int:
         "gain": args.gain,
         "f": args.f,
         "subsets": m.index.subsets,
-        "values": m.values,
+        "values": m.cell_blocks(),  # W before any output: a failed computation writes nothing
     }
     _emit_json(report, args.out)
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -88,7 +89,8 @@ class GameMatrix:
     Otherwise the solvers decide from `approx` and read exact rows
     through `exact_rows` only where `approx` cannot settle a comparison.
     The exact table `rows` and the dense payoff matrix `values` are built
-    only when read. Use `build_matrix`, which validates the inputs.
+    only when read, and `cell_blocks` hands out the matrix a block at a
+    time. Use `build_matrix`, which validates the inputs.
     """
 
     graph: Graph
@@ -106,19 +108,29 @@ class GameMatrix:
         """W, one row per defender subset: rows[r, i] is what attacking node i costs."""
         return _payoff_rows(self.graph, self.gain, self.law, self.index.subsets)
 
+    def cell_blocks(self) -> Iterator[np.ndarray]:
+        """The payoff matrix `values` in row order, blocks of whole rows of about _KERNEL_CELLS cells.
+
+        Block k is `_cells(rows[block k, subsets])`. `rows` is computed by
+        this call, each block only when it is read: `resgame matrix`
+        writes them one by one, with no N x N array.
+        """
+        w, subsets, law = self.rows, self.index.subsets, self.law
+        step = max(1, _KERNEL_CELLS // len(subsets))
+        return (_cells(w[lo : lo + step, subsets], law) for lo in range(0, len(w), step))
+
     @cached_property
     def values(self) -> np.ndarray:
         """The N x N payoff matrix: values[r, c] is the `_cells` payoff of row r against column c.
 
-        8 N^2 bytes, built from `rows` on first read, a block of about
-        _BLOCK_CELLS cells at a time; `resgame matrix` and the tests read it,
-        the solvers do not.
+        8 N^2 bytes, filled from `cell_blocks` on first read; the API and
+        the tests read it, and neither the solvers nor `resgame matrix` do.
         """
-        w, subsets = self.rows, self.index.subsets
-        values = np.empty((len(w), len(subsets)))
-        step = max(1, _BLOCK_CELLS // len(subsets))
-        for lo in range(0, len(w), step):
-            values[lo : lo + step] = _cells(w[lo : lo + step, subsets], self.law)
+        values = np.empty((self.index.size,) * 2)
+        lo = 0
+        for block in self.cell_blocks():
+            values[lo : lo + len(block)] = block
+            lo += len(block)
         return values
 
     @cached_property
@@ -266,7 +278,8 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarr
         return w
     w = np.empty((len(defender_sets), g.n))
     for r, sub in enumerate(defender_sets.tolist()):
-        w[r] = 0.5 * grounded_inverse_diag(GroundedSystem(g, sub, gain))
+        w[r] = grounded_inverse_diag(GroundedSystem(g, sub, gain))
+    w *= 0.5
     return w
 
 
@@ -346,10 +359,15 @@ def _low_rank_rows(shifted: tuple, gain: float, defender_sets: np.ndarray) -> tu
     return w, 8.0 * n * _UNIT_ROUNDOFF * c_hat * float(np.abs(w).max())
 
 
-# Payoff cells computed at once when `values` or column minima are built in
-# blocks: with f = 2, 256 KB of gathered W entries. Larger blocks raised the
-# peak resident memory of small `matrix` exports and were no faster.
+# Payoff cells computed at once when column minima are built in blocks:
+# with f = 2, 256 KB of gathered W entries.
 _BLOCK_CELLS = 1 << 14
+# Payoff cells per block of `GameMatrix.cell_blocks`, which the writer's
+# shortest-repr kernel takes whole: its text buffer, 32 bytes a cell, and
+# the f = 2 gathered W entries then stay below glibc's 128 KiB mmap
+# threshold. Blocks of _BLOCK_CELLS raised the peak resident memory of the
+# benchmark's exports by 0.4 MB.
+_KERNEL_CELLS = 4000
 
 
 def _payoff(g: Graph, gain: float, law: ControlLaw, attack_set, defense_set) -> float:

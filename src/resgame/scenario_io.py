@@ -5,20 +5,24 @@ Graphs load from edge-list text ("i j [w]" lines, '#' comments) or JSON
 the matching writers. JSON is the canonical report format; CSV is used
 for game matrices and gain sweeps. See docs/formats.md.
 
-A report is a dict with str keys, rendered by `json_pieces`, whose
-pieces join to the text of json.dumps(report, indent=2, sort_keys=True);
-a payoff matrix, or the array of subsets, goes in as its ndarray and is
-written one row at a time, in JSON and in CSV. A matrix whose first row
-repeats its values, as every law-1 payoff matrix does, has each distinct
-value formatted once; any other float matrix has its entries written by a
-vectorised shortest-repr kernel wherever repr writes fixed notation.
+A report is a dict with str keys, rendered as ASCII bytes whose pieces
+join to the text of json.dumps(report, indent=2, sort_keys=True)
+(`json_pieces` decodes them). The array of subsets goes in as its
+ndarray, a payoff matrix as its row blocks from `GameMatrix.cell_blocks`,
+and each is written a block of rows at a time, in JSON and in CSV. A
+matrix whose first row repeats its values, as every law-1 payoff matrix
+does, has each distinct value formatted once; any other float matrix has
+its entries written by a vectorised shortest-repr kernel wherever repr
+writes fixed notation.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from .dynamics import Scenario
 from .errors import ConfigError, GraphError
-from .game import _BLOCK_CELLS, GameMatrix, SweepRow
+from .game import _KERNEL_CELLS, GameMatrix, SweepRow
 from .graphcore import Graph, _edge_entry, integer, real
 
 
@@ -110,7 +114,10 @@ def _read_text(path: Path) -> str:
 
 @contextmanager
 def _open_out(path: str | Path):
-    """Text file opened for writing; an OSError becomes a ConfigError naming the path."""
+    """Text file opened for writing; an OSError becomes a ConfigError naming the path.
+
+    The byte writers write to its `.buffer` alone.
+    """
     try:
         with open(path, "w", newline="") as fh:
             yield fh
@@ -170,28 +177,35 @@ def _repeats(matrix: np.ndarray) -> bool:
     return matrix.size > 0 and 2 * len(np.unique(_bits(matrix[0]))) <= matrix.shape[1]
 
 
-def _distinct_rows(matrix: np.ndarray, fmt):
-    """The rows of a 2-D array, each a list of fmt(x) for its entries x as .tolist() gives them.
+def _row_blocks(matrix: np.ndarray):
+    """A 2-D array as blocks of whole rows of about _KERNEL_CELLS cells (one row when a row is wider)."""
+    step = max(1, _KERNEL_CELLS // max(1, matrix.shape[1]))
+    return (matrix[lo : lo + step] for lo in range(0, len(matrix), step))
 
-    Each distinct value is formatted once: the distinct bit patterns are
-    collected, and each row's texts are taken from theirs by searchsorted,
-    a block of about _BLOCK_CELLS cells at a time. So this needs O(N + k)
-    memory beyond the array for N columns and k distinct values, not O(N^2).
-    For matrices that pass `_repeats`; others are faster formatted entry by entry.
+
+def _distinct_marked(blocks, sep: bytes, fmt):
+    """`_marked` for row blocks whose values repeat: each distinct value is formatted once, when first seen.
+
+    The distinct bit patterns seen so far are kept sorted with their texts,
+    and each row's texts are taken from theirs by searchsorted. So this
+    needs O(N + k) memory for N columns and k distinct values, in one
+    pass. For matrices that pass `_repeats`; others are faster formatted
+    entry by entry.
     """
-    bits = _bits(matrix)
-    step = max(1, _BLOCK_CELLS // matrix.shape[1])
-    blocks = range(0, len(bits), step)
-    keys = functools.reduce(np.union1d, (np.unique(bits[lo : lo + step]) for lo in blocks))
-    texts = np.array(list(map(fmt, keys.view(matrix.dtype).tolist())), dtype=object)
-    for lo in blocks:
-        for row in texts[np.searchsorted(keys, bits[lo : lo + step])]:
-            yield row.tolist()
+    keys = np.empty(0, np.uint64)
+    texts = np.empty(0, object)
+    for block in blocks:
+        bits = _bits(block)
+        at = np.searchsorted(keys, bits)
+        if not (len(keys) and (keys.take(at, mode="clip") == bits).all()):
+            new = np.setdiff1d(bits, keys)
+            fresh = [fmt(x).encode() for x in new.view(block.dtype).tolist()]
+            where = np.searchsorted(keys, new)
+            keys, texts = np.insert(keys, where, new), np.insert(texts, where, fresh)
+            at = np.searchsorted(keys, bits)
+        yield b"".join([b";" + sep.join(row) for row in texts[at].tolist()])
 
 
-# Cells per block of the shortest-repr kernel: its text buffer, 32 bytes a
-# cell, then stays below glibc's 128 KiB mmap threshold.
-_KERNEL_CELLS = 4000
 _U = np.uint64
 _LOW32 = _U(0xFFFFFFFF)
 
@@ -297,7 +311,7 @@ def _digit_words(d: np.ndarray):
     return (quads[0] | text[4] << _U(32), text[3] | text[2] << _U(32), text[1] | text[0] << _U(32)), end
 
 
-def _fixed_text(block: np.ndarray, sep: str) -> bytearray:
+def _fixed_text(block: np.ndarray, sep: bytes) -> bytearray:
     """The text of a 2-D float64 array that passes `_in_fixed_range`, with NULs among its bytes.
 
     Each entry gets 32 bytes: its separator, or ';' before a row's first
@@ -316,7 +330,7 @@ def _fixed_text(block: np.ndarray, sep: str) -> bytearray:
     integer = [w & m.take(whole) for w, m in zip(words, masks)]
     raw = bytearray(32 * len(bits))
     out = np.frombuffer(raw, "<u8").reshape(-1, 4)
-    out[:, 0] = int.from_bytes(sep.encode(), "little")
+    out[:, 0] = int.from_bytes(sep, "little")
     out[:: block.shape[1], 0] = ord(";")
     out[:, 1] = (words[0] & masks[0].take(fraction) | integer[0] >> _U(8) | integer[1] << _U(56)
                  | dots[0].take(unit) | (bits >> _U(63)) * _U(0x2D00))
@@ -326,48 +340,81 @@ def _fixed_text(block: np.ndarray, sep: str) -> bytearray:
     return raw
 
 
-def _entry_rows(matrix: np.ndarray, sep: str, fmt):
-    """Each row's entries joined by sep, each as fmt (repr or json.dumps) writes it from .tolist().
+def _entry_marked(block: np.ndarray, sep: bytes, fmt) -> bytes:
+    """`_marked` for one block of about _KERNEL_CELLS cells: by the kernel, or entry by entry.
 
-    A block of about _KERNEL_CELLS cells of a float16, float32 or float64
-    array whose entries repr writes in fixed notation goes through the
-    kernel, as float64, which holds them exactly; other blocks, and integer
-    arrays, are formatted entry by entry.
+    A block of a float16, float32 or float64 array whose entries repr
+    writes in fixed notation goes through the kernel, as float64, which
+    holds them exactly; other blocks, and integer arrays, are formatted
+    entry by entry.
     """
-    if matrix.dtype.kind in "iu":
-        yield from (sep.join(map(int.__repr__, row.tolist())) for row in matrix)
+    if block.dtype.char in "efd" and block.size and _in_fixed_range(block):
+        return _fixed_text(np.ascontiguousarray(block, np.float64), sep).translate(None, b"\0")
+    text_sep, entry = sep.decode(), int.__repr__ if block.dtype.kind in "iu" else float.__repr__
+    texts = []
+    for values in block.tolist():
+        text = text_sep.join(map(entry, values))
+        if "n" in text:  # only the reprs of nan and inf hold an "n"
+            text = text_sep.join(map(fmt, values))
+        texts.append(";" + text)
+    return "".join(texts).encode("ascii")
+
+
+def _marked(blocks, sep: bytes, fmt):
+    """The text of a 2-D float or integer array given as row blocks, as ASCII bytes, a row block at a time.
+
+    Each row is b";" then its entries joined by sep, each as fmt (repr or
+    json.dumps) writes it from .tolist(): the one renderer of every
+    matrix that `json_pieces`, `write_json_report` and `write_matrix_csv`
+    write, whose callers turn the ';' row markers into their row breaks.
+    """
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
         return
-    step = max(1, _KERNEL_CELLS // max(1, matrix.shape[1]))
-    for lo in range(0, len(matrix), step):
-        block = matrix[lo : lo + step]
-        if matrix.dtype.char in "efd" and block.size and _in_fixed_range(block):
-            text = _fixed_text(np.ascontiguousarray(block, np.float64), sep).translate(None, b"\0")
-            yield from text.decode("ascii").split(";")[1:]
-            continue
-        for values in block.tolist():
-            text = sep.join(map(float.__repr__, values))
-            if "n" in text:  # only the reprs of nan and inf hold an "n"
-                text = sep.join(map(fmt, values))
-            yield text
+    blocks = itertools.chain([first], blocks)
+    if _repeats(first):
+        yield from _distinct_marked(blocks, sep, fmt)
+        return
+    for block in blocks:
+        yield _entry_marked(block, sep, fmt)
 
 
-_ROW_SEP = ",\n      "
+_ROW_SEP = b",\n      "
+_ROW_BREAK = b"\n    ],\n    [\n      "  # in a JSON report matrix: close a row, open the next
 
 
-def _row_texts(matrix: np.ndarray, sep: str, fmt):
-    """Each row's entries as fmt (repr or json.dumps) writes them from .tolist(), joined by sep."""
-    if _repeats(matrix):
-        return map(sep.join, _distinct_rows(matrix, fmt))
-    return _entry_rows(matrix, sep, fmt)
+def _matrix_bytes(blocks):
+    """A nonempty 2-D array given as row blocks, in pieces, as json.dumps writes its .tolist() in a report.
+
+    One bytes.replace per piece turns its ';' row markers into row breaks;
+    the first piece drops its first break's closing of a previous row.
+    """
+    pieces = _marked(blocks, _ROW_SEP, json.dumps)
+    yield b"[" + next(pieces).replace(b";", _ROW_BREAK)[len(b"\n    ],") :]
+    for text in pieces:
+        yield text.replace(b";", _ROW_BREAK)
+    yield b"\n    ]\n  ]"
 
 
-def _matrix_pieces(matrix: np.ndarray):
-    """A 2-D float or integer array's text as a report value, as json.dumps writes .tolist(), a row a piece."""
-    head = "["
-    for text in _row_texts(matrix, _ROW_SEP, json.dumps):
-        yield head + ("\n    [\n      " + text + "\n    ]" if text else "\n    []")
-        head = ","
-    yield "[]" if head == "[" else "\n  ]"
+def _report_bytes(report: dict):
+    """json.dumps(report, indent=2, sort_keys=True) as ASCII bytes, in pieces; see `json_pieces`."""
+    if not any(isinstance(value, (np.ndarray, Iterator)) for value in report.values()):
+        yield json.dumps(report, indent=2, sort_keys=True).encode()
+        return
+    head = b"{"
+    for key in sorted(report):
+        value = report[key]
+        yield head + b"\n  " + json.dumps(key).encode() + b": "
+        head = b","
+        if isinstance(value, np.ndarray) and value.size:
+            yield from _matrix_bytes(_row_blocks(value))
+        elif isinstance(value, Iterator):
+            yield from _matrix_bytes(value)
+        else:  # exact: json escapes newlines in strings, so each raw one is layout
+            plain = value.tolist() if isinstance(value, np.ndarray) else value  # an empty array
+            yield json.dumps(plain, indent=2, sort_keys=True).replace("\n", "\n  ").encode()
+    yield b"\n}"
 
 
 def json_pieces(report: dict):
@@ -375,31 +422,22 @@ def json_pieces(report: dict):
 
     A report is a dict with str keys. Each value is json.dumps's own text,
     indented two spaces, except a 2-D float or integer ndarray, which is
-    written as its .tolist() would be, one row per piece, so a report
-    holding an N x N matrix needs O(N) memory beyond the array, or
-    O(N + k) when its k distinct values are formatted once (`_repeats`).
-    A report with no ndarray is that text as one piece.
+    written as its .tolist() would be, whole rows per piece, and an
+    iterator of such an array's row blocks (`GameMatrix.cell_blocks`),
+    written as the array they make up. So a report holding an N x N
+    matrix needs O(N) memory beyond the array, or one block of it when
+    it comes as blocks. A report with no matrix is that text as one
+    piece. The pieces are those `write_json_report` writes, decoded.
     """
-    if not any(isinstance(value, np.ndarray) for value in report.values()):
-        yield json.dumps(report, indent=2, sort_keys=True)
-        return
-    head = "{"
-    for key in sorted(report):
-        value = report[key]
-        yield head + "\n  " + json.dumps(key) + ": "
-        head = ","
-        if isinstance(value, np.ndarray):
-            yield from _matrix_pieces(value)
-        else:  # exact: json escapes newlines in strings, so each raw one is layout
-            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-    yield "{}" if head == "{" else "\n}"
+    for piece in _report_bytes(report):
+        yield piece.decode("ascii")
 
 
 def write_json_report(obj: dict, path: str | Path) -> None:
-    """The report as json.dumps(obj, indent=2, sort_keys=True) plus a newline, streamed."""
+    """The report as json.dumps(obj, indent=2, sort_keys=True) plus a newline, streamed as bytes."""
     with _open_out(path) as fh:
-        fh.writelines(json_pieces(obj))
-        fh.write("\n")
+        fh.buffer.writelines(_report_bytes(obj))
+        fh.buffer.write(b"\n")
 
 
 def _decode_subset(sub) -> str:
@@ -423,12 +461,12 @@ def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
 
 
 def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
-    """Matrix CSV with subset ranks and decoded node lists as headers."""
-    values = m.values  # before the file opens: a failed computation leaves no file
-    subsets = m.index.subsets.tolist()
-    headers = [f"{r}:{_decode_subset(sub)}" for r, sub in enumerate(subsets)]
-    rows = _row_texts(values, ",", repr)
+    """Matrix CSV with subset ranks and decoded node lists as headers, streamed as bytes."""
+    blocks = m.cell_blocks()  # W before the file opens: a failed computation leaves no file
+    heads = [f"{r}:{_decode_subset(sub)}" for r, sub in enumerate(m.index.subsets.tolist())]
     with _open_out(path) as fh:
-        csv.writer(fh).writerow(["defender\\attacker"] + headers)
         # a float's repr and a header hold nothing csv.writer would quote
-        fh.writelines(head + "," + text + "\r\n" for head, text in zip(headers, rows))
+        fh.buffer.write(",".join(["defender\\attacker", *heads]).encode() + b"\r\n")
+        heads = (head.encode() + b"," for head in heads)
+        for text in _marked(blocks, b",", repr):
+            fh.buffer.write(b"".join(head + row + b"\r\n" for row, head in zip(text.split(b";")[1:], heads)))

@@ -15,8 +15,9 @@ all through one runner:
   table `rows` when it is made, so the solvers scan W's columns instead
   of reading the costs;
 - each export-matrix task, both laws, JSON and CSV, once more with the
-  report written by json.dumps of each array's .tolist() and the CSV by
-  csv.writer with repr cells, renderers independent of scenario_io's.
+  report written by json.dumps of each array's .tolist(), the payoff
+  matrix's cell blocks joined into one, and the CSV by csv.writer with
+  repr cells of `values`, renderers independent of scenario_io's.
 Both variants share one BLAS, so their reports must be equal whatever
 the BLAS build.
 """
@@ -38,6 +39,7 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 # prints {workload: [task ids]} as one JSON line.
 _CHILD = """
 import contextlib, csv, importlib.util, itertools, json, sys
+from collections.abc import Iterator
 from functools import cached_property
 from pathlib import Path
 from unittest import mock
@@ -89,7 +91,9 @@ def reference_builds():
         yield
 
 def plain_json(obj, path):
-    plain = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in obj.items()}
+    # the matrix comes as `GameMatrix.cell_blocks`, the blocks `values` is filled from
+    plain = {key: np.concatenate(list(v)).tolist() if isinstance(v, Iterator)
+             else v.tolist() if isinstance(v, np.ndarray) else v for key, v in obj.items()}
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(plain, indent=2, sort_keys=True) + "\\n")
 

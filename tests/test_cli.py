@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resgame
 from resgame import game
 from resgame.cli import build_parser, main
+from resgame.scenario_io import write_graph
 
+from conftest import random_connected_graph
 from test_golden import CASES, GOLDEN, GRAPHS
 
 SRC = str(Path(resgame.__file__).resolve().parents[1])
@@ -431,6 +437,25 @@ class TestMatrixAndSolve:
                      "--f", "1", "--format", fmt, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("law", ["1", "2"])
+    def test_matrix_export_holds_no_payoff_matrix(self, tmp_path, clique_plus_path, law, fmt):
+        # n = 64, f = 2: N = 2,016 subsets, so the payoff matrix alone is 8·N² = 32.5 MB
+        graph = tmp_path / "g64.json"
+        write_graph(random_connected_graph(np.random.default_rng(0), 64), graph)
+        argv = ["matrix", "--law", law, "--gain", "0.7", "--f", "2", "--format", fmt]
+        # the bound is on memory, not on the bytes (`SAME_BYTES` checks those), so no file is kept;
+        # first a small export: SciPy, the kernel's tables and whatever else a first call sets up
+        assert main([*argv, "--graph", clique_plus_path, "--out", os.devnull]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--graph", str(graph), "--out", os.devnull]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = 8 * math.comb(64, 2) * 64  # the per-node cost table W: 1.0 MB
+        assert peak < table + 4_000_000
+
     def test_enumeration_cap_is_computation_error(self, tmp_path, monkeypatch):
         lines = [f"{i} {i + 1}" for i in range(19)]
         path = tmp_path / "p20.txt"
@@ -486,8 +511,8 @@ class TestMatrixAndSolve:
 
     @pytest.mark.parametrize(
         "argv",
-        [["solve", "--f", "1"], ["h2", "--defense", "0", "--attack", "5"]],
-        ids=["solve", "h2"],
+        [["solve", "--f", "1"], ["h2", "--defense", "0", "--attack", "5"], ["matrix", "--f", "1"]],
+        ids=["solve", "h2", "matrix"],
     )
     def test_failed_factorization_is_computation_error(self, capsys, tmp_path, argv):
         # at gain 1e-16 the grounded Laplacian of a 30-node path has no
@@ -563,6 +588,7 @@ SAME_BYTES = {
     "centrality": ["centrality"],
     "h2": ["h2", "--law", "2", "--gain", "1", "--defense", "1", "--attack", "0,2", "--oracle"],
     "matrix": ["matrix", "--law", "2", "--gain", "0.5", "--f", "2"],
+    "matrix-law1": ["matrix", "--law", "1", "--gain", "0.5", "--f", "2"],
     "solve": ["solve", "--law", "2", "--gain", "0.5", "--f", "2"],
     "sweep": ["sweep", "--law", "1", "--f", "1", "--gains", "0.25,0.5,1"],
 }
@@ -576,6 +602,18 @@ def test_stdout_matches_out_file(capsys, tmp_path, clique_plus_path, command):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert printed.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("law", ["1", "2"])
+def test_matrix_stdout_into_a_stringio_matches_out_file(tmp_path, clique_plus_path, law):
+    # benchmarks/worker.py redirects stdout to a StringIO, which has no .buffer
+    argv = ["matrix", "--law", law, "--gain", "0.5", "--f", "2", "--graph", clique_plus_path]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sink.getvalue().encode() == out.read_bytes()
 
 
 @pytest.mark.parametrize("case", ["matrix-law1-f1.json", "matrix-law2-f2.json"])

@@ -236,6 +236,38 @@ class TestPayoffs:
             assert payoff_j2(g, kappa, small, dset) <= payoff_j2(g, kappa, big, dset) + 1e-12
 
 
+class TestLaw2Rows:
+    """`_payoff_rows` for law 2 against one `grounded_inverse_diag(GroundedSystem(...))` per row."""
+
+    @staticmethod
+    def _per_row(g, gain, sets):
+        return 0.5 * np.array([grounded_inverse_diag(GroundedSystem(g, s, gain)) for s in sets.tolist()])
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_rows_equal_the_per_row_factorizations(self, rng, f, weighted):
+        for n in (f, 7, 12):
+            g = random_connected_graph(rng, n, weighted=weighted)
+            sets = SubsetIndex(n, f).subsets
+            for gain in (1e-3, 0.7, 50.0):
+                rows = game_module._payoff_rows(g, gain, LAW2, sets)
+                assert np.array_equal(rows, self._per_row(g, gain, sets))
+
+    def test_failed_factorization_mid_table_raises_the_rows_error(self):
+        # at gain 3e-16 the 12-node path grounded at its end node 0 has no
+        # positive last pivot; grounded anywhere else it factors
+        g, gain = path_graph(12), 3e-16
+        sets = np.array([[3], [7], [0], [5]])
+        with pytest.raises(ConvergenceError) as expected:
+            grounded_inverse_diag(GroundedSystem(g, (0,), gain))
+        head = sets[:2]
+        assert np.array_equal(game_module._payoff_rows(g, gain, LAW2, head), self._per_row(g, gain, head))
+        with pytest.raises(ConvergenceError) as raised:
+            game_module._payoff_rows(g, gain, LAW2, sets)
+        assert str(raised.value) == str(expected.value) == (
+            "grounded Laplacian factorization failed: LAPACK potrf info=12")
+
+
 class TestBuildMatrix:
     @pytest.mark.parametrize("n, f", [(1, 1), (5, 1), (6, 2), (7, 3), (8, 8)])
     def test_indicator_equals_loop(self, rng, n, f):

@@ -26,9 +26,9 @@ from resgame.graphcore import complete_graph, path_graph
 from resgame.scenario_io import (
     _KERNEL_CELLS,
     _ROW_SEP,
-    _entry_rows,
     _fixed_text,
     _in_fixed_range,
+    _marked,
     _repeats,
     _repr_tables,
     graph_to_json,
@@ -383,9 +383,12 @@ def test_kernel_equals_repr_and_json_dumps_on_corpus():
     dumped = json.dumps(plain)[1:-1].split(", ")  # json.dumps's text of each entry
     magnitude = np.abs(values)
     fixed = (magnitude >= 1e-4) & (magnitude < 1e16)
-    texts = _fixed_text(values[fixed].reshape(-1, 1), ",").translate(None, b"\0").decode("ascii").split(";")[1:]
+    texts = _fixed_text(values[fixed].reshape(-1, 1), b",").translate(None, b"\0").decode("ascii").split(";")[1:]
     assert texts == [float.__repr__(x) for x in compress(plain, fixed)]
     assert texts == list(compress(dumped, fixed))
-    # every value through the per-entry path, 100 a row: kernel blocks and blocks written entry by entry
-    rows = list(_entry_rows(values[: values.size // 100 * 100].reshape(-1, 100), _ROW_SEP, json.dumps))
-    assert rows == [_ROW_SEP.join(dumped[i : i + 100]) for i in range(0, 100 * len(rows), 100)]
+    # every value through the matrix renderer, 100 a row: kernel blocks and blocks written entry by entry
+    matrix = values[: values.size // 100 * 100].reshape(-1, 100)
+    blocks = (matrix[lo : lo + _KERNEL_CELLS // 100] for lo in range(0, len(matrix), _KERNEL_CELLS // 100))
+    rows = b"".join(_marked(blocks, _ROW_SEP, json.dumps)).decode("ascii").split(";")[1:]
+    sep = _ROW_SEP.decode()
+    assert rows == [sep.join(dumped[i : i + 100]) for i in range(0, 100 * len(matrix), 100)]
