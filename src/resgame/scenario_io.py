@@ -22,6 +22,8 @@ import csv
 import functools
 import itertools
 import json
+import os
+import stat
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -112,15 +114,27 @@ def _read_text(path: Path) -> str:
         raise ConfigError(f"cannot read {path}: {exc}")
 
 
+def _untruncated(path, flags: int) -> int:
+    """open()'s opener for mode "w" without O_TRUNC: ext4 starts writeback on closing a file cut to 0 bytes."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 @contextmanager
 def _open_out(path: str | Path):
     """Text file opened for writing; an OSError becomes a ConfigError naming the path.
 
-    The byte writers write to its `.buffer` alone.
+    An existing file is written in place and, if regular, cut to the
+    written length on the way out, also when the writer raises. The byte
+    writers write to its `.buffer` alone.
     """
     try:
-        with open(path, "w", newline="") as fh:
-            yield fh
+        with open(path, "w", newline="", opener=_untruncated) as fh:
+            try:
+                yield fh
+            finally:
+                fh.flush()
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    os.ftruncate(fh.fileno(), fh.buffer.tell())
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
 

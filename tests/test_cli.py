@@ -520,13 +520,17 @@ class TestMatrixAndSolve:
         path = tmp_path / "p30.txt"
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(29)))
         out = tmp_path / "report.json"
-        code = main([*argv, "--graph", str(path), "--law", "2", "--gain", "1e-16",
-                     "--out", str(out)])
-        assert code == 2
+        argv = [*argv, "--graph", str(path), "--law", "2", "--gain", "1e-16", "--out", str(out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == ("computation error: grounded Laplacian factorization failed: "
                        "LAPACK potrf info=30\n")
         assert not out.exists()
+        # an existing file is left as it was
+        out.write_bytes(b"an earlier report\n" * 100)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+        assert out.read_bytes() == b"an earlier report\n" * 100
 
 
 class TestSweep:
@@ -600,6 +604,10 @@ def test_stdout_matches_out_file(capsys, tmp_path, clique_plus_path, command):
     assert main(argv) == 0
     printed = capsys.readouterr().out
     out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert printed.encode() == out.read_bytes()
+    # over a longer file, rewritten in place: the printed bytes and no old tail
+    out.write_bytes(b"x" * (2 * len(printed) + 4096))
     assert main(argv + ["--out", str(out)]) == 0
     assert printed.encode() == out.read_bytes()
 

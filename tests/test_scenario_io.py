@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import re
+import stat
 import tracemalloc
 from dataclasses import asdict
 from itertools import compress
@@ -22,6 +24,7 @@ from resgame import (
     load_scenario,
     sweep_gain,
 )
+from resgame import scenario_io
 from resgame.graphcore import complete_graph, path_graph
 from resgame.scenario_io import (
     _KERNEL_CELLS,
@@ -242,6 +245,77 @@ class TestReports:
     def test_write_report_bad_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot write"):
             write_json_report({}, tmp_path / "nope" / "deep" / "report.json")
+
+
+# every writer of an --out file, each writing a few KB
+WRITERS = {
+    "json": lambda path: write_json_report(
+        {"law": 2, "values": build_matrix(path_graph(6), 0.5, 2, ControlLaw.REL_VELOCITY).values}, path),
+    "matrix-csv": lambda path: write_matrix_csv(
+        build_matrix(path_graph(6), 0.5, 2, ControlLaw.REL_VELOCITY), path),
+    "sweep-csv": lambda path: write_sweep_csv(
+        sweep_gain(path_graph(5), 1, ControlLaw.ABS_VELOCITY, [0.25, 0.5, 0.75, 1.0]), path),
+    "graph": lambda path: write_graph(path_graph(40), path, fmt="text"),
+}
+
+
+class TestOutputFiles:
+    """An existing file is rewritten in place and cut to the new length; only regular files are cut."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_overwrite_keeps_the_inode_and_leaves_no_old_tail(self, tmp_path, writer):
+        fresh = tmp_path / "fresh"
+        WRITERS[writer](fresh)
+        expected = fresh.read_bytes()
+        path = tmp_path / "old"
+        path.write_bytes(b"\xfeold bytes\n" * (len(expected) // 4))
+        path.chmod(0o640)
+        os.link(path, tmp_path / "link")
+        before = path.stat()
+        assert before.st_size > len(expected)
+        WRITERS[writer](path)
+        after = path.stat()
+        assert path.read_bytes() == expected
+        assert (tmp_path / "link").read_bytes() == expected
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+
+    @pytest.mark.parametrize("writer", ["json", "matrix-csv", "sweep-csv"])
+    def test_devnull_is_written_and_not_cut(self, writer):
+        WRITERS[writer](os.devnull)  # ftruncate would fail on a character device
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_failing_report_leaves_exactly_its_written_pieces(self, tmp_path, monkeypatch, k):
+        # 5 KB pieces: from k = 2 on, part of the prefix reached the file before the failure
+        pieces = [bytes([ord("a") + i]) * 5000 for i in range(k)]
+
+        def failing(report):
+            yield from pieces
+            raise RuntimeError("failed after the pieces")
+
+        monkeypatch.setattr(scenario_io, "_report_bytes", failing)
+        path = tmp_path / "report.json"
+        path.write_bytes(b"old " * 10_000)
+        with pytest.raises(RuntimeError, match="failed after the pieces"):
+            write_json_report({}, path)
+        assert path.read_bytes() == b"".join(pieces)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_open_never_truncates(self, tmp_path, monkeypatch, writer):
+        # the gain's one timing-free check: a file cut to 0 bytes at open makes ext4 flush it at close
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        monkeypatch.setattr(os, "open", spy)
+        WRITERS[writer](path)
+        monkeypatch.undo()
+        assert flags and all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
 
 
 _FLOATS = st.floats() | st.floats(allow_subnormal=True, max_value=1e-308, min_value=-1e-308)

@@ -13,6 +13,13 @@ diff:
 `--workloads sweep-law1,solve-law2` runs only those workloads, in the
 order of benchmarks/workloads.py, so checking one takes seconds.
 
+Each task that succeeds is then run a second time into the same path,
+after junk has been appended to its output so that the old file is
+longer: an `--out` file is rewritten in place and cut to length, so the
+second output must have the first one's digest. The digests printed are
+those of the first run; a task whose second digest differs is named on
+stderr, and the script exits 1 after printing every line.
+
 The `resgame` and `benchmarks` imported are those of the checkout that
 holds this script. BLAS runs on one thread unless OMP_NUM_THREADS or
 OPENBLAS_NUM_THREADS is set: a threaded eigensolver can move the last bit
@@ -29,6 +36,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+JUNK = b"\0junk past the end of the first output\n" * 100
+
+
+def _digest(path: Path, code: int) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if code == 0 else f"exit {code}"
 
 
 def _seeds(text: str) -> list[int]:
@@ -55,17 +67,26 @@ def main() -> int:
     unknown = sorted(set(chosen) - set(workloads.WORKLOADS))
     if unknown:
         parser.error(f"unknown workloads {unknown}; choose from {list(workloads.WORKLOADS)}")
+    mismatched = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for name in (name for name in workloads.WORKLOADS if name in chosen):
                 task_list = workloads.tasks(name, seed)
                 work = Path(tmp) / f"{name}-{seed}"
-                for task, graph in zip(task_list, workloads.write_inputs(task_list, work)):
-                    out = work / (task.id + task.out_suffix)
+                (work / "out").mkdir(parents=True)  # apart from the inputs, which share the task ids
+                for task, graph in zip(task_list, workloads.write_inputs(task_list, work / "inputs")):
+                    out = work / "out" / (task.id + task.out_suffix)
                     code = resgame_main(task.argv(graph, out))
-                    digest = hashlib.sha256(out.read_bytes()).hexdigest() if code == 0 else f"exit {code}"
+                    digest = _digest(out, code)
                     print(seed, task.id, digest, flush=True)
-    return 0
+                    if code == 0:
+                        with open(out, "ab") as fh:
+                            fh.write(JUNK)
+                        if _digest(out, resgame_main(task.argv(graph, out))) != digest:
+                            mismatched.append(f"{seed} {task.id}")
+    for task in mismatched:
+        print(f"overwrite changed the output of {task}", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
