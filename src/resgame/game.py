@@ -232,28 +232,31 @@ def _law1_costs(g: Graph, gain: float | np.ndarray) -> tuple[np.ndarray, np.ndar
 def _law1_row_max(m: GameMatrix, gains: list[float]) -> np.ndarray:
     """Each row's largest payoff in the law-1 game m at each gain, the `_row_max` of its W.
 
-    Row D's entries are ĉ on D and c elsewhere. Let T be the 2f nodes
-    of largest c, or all n when n < 2f. No node outside T has a larger c
-    than the f largest of c on T's nodes outside D (if n >= 2f, at least
-    f of them). So D's f largest entries, as a multiset, are the f
-    largest of those, which no gain changes, and of ĉ on D, and `_cells`
-    sums a multiset to the same bits in any order. Every gain's maxima
-    come from one (gains, N, 2f) array, O(N f) per gain, no N x n table.
+    Row D's entries are ĉ on D and c elsewhere, and `_cells` sums a
+    multiset to the same bits in any order, so D's f largest entries are
+    needed only as a multiset: the f largest of two sorted halves. Rank
+    the nodes by descending c. The k-th rank outside D is k stepped past
+    each of D's ranks in ascending order; c at those ranks, k < f, is
+    the f largest c outside D, descending, whatever the gain (-inf past
+    the n - f nodes outside D). ĉ = c/(1+κ) is monotone in c, as rounding
+    is, so ĉ at D's ranks taken in descending order is ascending at every
+    gain. The elementwise maximum of a descending and an ascending
+    sequence is the f largest of both (Batcher's bitonic half-cleaner,
+    1968). Arrays are (f, N), one column per row D: O(N f^2) time once
+    and O(N f) time and memory per gain, no N x n table.
     """
     c, c_hat = _law1_costs(m.graph, np.array(gains)[:, None])
-    subsets, f = m.index.subsets, m.f
-    top = np.argsort(c)[-2 * f :]
-    slot = np.full(len(c), -1)
-    slot[top] = np.arange(len(top))
-    own = slot[subsets]  # where D's nodes sit in T, or -1
-    r, k = np.nonzero(own >= 0)
-    outside = np.tile(c[top], (len(subsets), 1))
-    outside[r, own[r, k]] = -np.inf
-    entries = np.empty((len(gains), len(subsets), 2 * f))
-    entries[..., :f] = np.partition(outside, -f, axis=1)[:, -f:]
-    entries[..., f:] = c_hat[:, subsets]
-    entries.partition(f, axis=2)  # in place: `_row_max` without its copy
-    return _cells(entries[..., f:], m.law)
+    f = m.f
+    order = np.argsort(c)[::-1]
+    rank = np.empty(len(c), np.intp)
+    rank[order] = np.arange(len(c))
+    inside = np.sort(rank[m.index.subsets.T], axis=0)  # D's ranks, ascending
+    outside = np.repeat(np.arange(f)[:, None], inside.shape[1], axis=1)
+    for r in inside:
+        outside += outside >= r
+    top = c_hat[:, order][:, inside[::-1]]  # ĉ on D, ascending
+    np.maximum(top, np.append(c[order], np.full(f, -np.inf))[outside], out=top)
+    return _cells(top.transpose(0, 2, 1), m.law)
 
 
 def _law1_leaders(m: GameMatrix, gains: list[float]) -> list[tuple[int, np.ndarray]]:

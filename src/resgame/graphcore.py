@@ -87,7 +87,14 @@ class Graph:
         seen = set()
         norm = []
         for e in self.edges:
-            i, j, w = _edge_entry(e)
+            # an int pair, or an int pair and a float, as they come from a file: no conversion to make
+            k = len(e) if type(e) is tuple or type(e) is list else 0
+            if k == 2:
+                (i, j), w = e, 1.0
+            elif k == 3:
+                i, j, w = e
+            if k not in (2, 3) or type(i) is not int or type(j) is not int or type(w) is not float:
+                i, j, w = _edge_entry(e)
             if i == j:
                 raise GraphError(f"self-loop at node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -130,22 +137,39 @@ class Graph:
         return Graph(self.n, self.edges + ((i, j, w),))
 
     @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, w): the edges as three arrays, in edge order."""
+        i, j, w = zip(*self.edges) if self.edges else ((), (), ())
+        m = len(w)
+        ij = np.fromiter(i + j, np.intp, 2 * m).reshape(2, m)
+        return ij[0], ij[1], np.fromiter(w, float, m)
+
+    @cached_property
     def _degrees(self) -> np.ndarray:
-        """Weighted degrees, each node's edge weights added in edge order; read-only."""
-        d = np.zeros(self.n)
-        for i, j, w in self.edges:
-            d[i] += w
-            d[j] += w
+        """Weighted degrees, each node's edge weights added in edge order; read-only.
+
+        One `np.bincount` over the interleaved ends i0, j0, i1, j1, ... with
+        each weight repeated: it adds in input order into zeros, so these
+        are the additions d[i] += w, d[j] += w of a loop over the edges in
+        the loop's order, bit for bit on weighted graphs.
+        """
+        i, j, w = self._edge_arrays
+        ends = np.empty(2 * len(w), np.intp)
+        ends[0::2], ends[1::2] = i, j
+        d = np.bincount(ends, np.repeat(w, 2), self.n).astype(float, copy=False)  # int zeros when edgeless
         d.flags.writeable = False
         return d
 
     @cached_property
     def _laplacian(self) -> np.ndarray:
-        """The Laplacian, built once per graph and read-only; see `laplacian`."""
+        """The Laplacian, built once per graph and read-only; see `laplacian`.
+
+        -w is scattered to (i, j) and (j, i), each written once in a simple
+        graph, and the diagonal is `_degrees`.
+        """
+        i, j, w = self._edge_arrays
         lap = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            lap[i, j] -= w
-            lap[j, i] -= w
+        lap[i, j] = lap[j, i] = -w
         np.fill_diagonal(lap, self._degrees)
         lap.flags.writeable = False
         return lap

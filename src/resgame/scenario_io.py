@@ -123,9 +123,11 @@ def _untruncated(path, flags: int) -> int:
 def _open_out(path: str | Path):
     """Text file opened for writing; an OSError becomes a ConfigError naming the path.
 
-    An existing file is written in place and, if regular, cut to the
-    written length on the way out, also when the writer raises. The byte
-    writers write to its `.buffer` alone.
+    An existing file is written in place and, if regular and longer than
+    what was written, cut to the written length on the way out, also when
+    the writer raises. A rewrite of the same length makes no `ftruncate`
+    call: one to the file's own length still updates its times, a
+    journaled inode change. The byte writers write to its `.buffer` alone.
     """
     try:
         with open(path, "w", newline="", opener=_untruncated) as fh:
@@ -133,8 +135,9 @@ def _open_out(path: str | Path):
                 yield fh
             finally:
                 fh.flush()
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    os.ftruncate(fh.fileno(), fh.buffer.tell())
+                st, length = os.fstat(fh.fileno()), fh.buffer.tell()
+                if stat.S_ISREG(st.st_mode) and st.st_size > length:
+                    os.ftruncate(fh.fileno(), length)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
 

@@ -557,6 +557,44 @@ class TestLaw1FromCosts:
                         saddles += saddle is not None
         assert saddles > 50
 
+    @staticmethod
+    def _partition_row_max(m, gains):
+        """The row maxima by two partitions of a (gains, N, 2f) candidate array: the reference."""
+        c, c_hat = game_module._law1_costs(m.graph, np.array(gains)[:, None])
+        subsets, f = m.index.subsets, m.f
+        top = np.argsort(c)[-2 * f :]
+        slot = np.full(len(c), -1)
+        slot[top] = np.arange(len(top))
+        own = slot[subsets]
+        r, k = np.nonzero(own >= 0)
+        outside = np.tile(c[top], (len(subsets), 1))
+        outside[r, own[r, k]] = -np.inf
+        entries = np.empty((len(gains), len(subsets), 2 * f))
+        entries[..., :f] = np.partition(outside, -f, axis=1)[:, -f:]
+        entries[..., f:] = c_hat[:, subsets]
+        entries.partition(f, axis=2)
+        return game_module._cells(entries[..., f:], m.law)
+
+    def test_row_max_equals_the_partition_reference(self, rng):
+        # several gains in one call, on tied degrees (cycles, complete graphs,
+        # stars, unweighted random graphs) and weighted ones, n = f and n < 2f included
+        gains = [1e-12, 0.3, 1.0, 1.0 + 2**-52, 7.5, 1e6]
+        checked = 0
+        for f in range(1, 5):
+            for n in sorted({max(f, 2), *range(f + 1, 2 * f + 3)}):
+                h = random_connected_graph(rng, n)
+                weighted = Graph(n, tuple((i, j, float(np.exp(rng.uniform(-6, 6)))) for i, j, _ in h.edges))
+                graphs = [path_graph(n), star_graph(n), complete_graph(n), h, weighted]
+                if n >= 3:
+                    graphs.append(cycle_graph(n))
+                for g in graphs:
+                    m = build_matrix(g, 1.0, f, LAW1)
+                    row_max = game_module._law1_row_max(m, gains)
+                    assert row_max.shape == (len(gains), len(m.index.subsets))
+                    assert row_max.tobytes() == self._partition_row_max(m, gains).tobytes()
+                    checked += 1
+        assert checked > 100
+
     def test_sweeps_equal_per_gain_solves(self, rng, monkeypatch):
         # blocks of 1-3 gains: every sweep here spans several of `_law1_leaders`' blocks
         monkeypatch.setattr(game_module, "_BLOCK_CELLS", 100)

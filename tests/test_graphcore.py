@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from collections import deque
@@ -82,6 +83,35 @@ class TestGraphValidation:
     def test_rejects_malformed_edge_entry(self, entry):
         with pytest.raises(GraphError, match=f"bad edge entry {re.escape(repr(entry))}"):
             Graph(2, (entry,))
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ([(0, True)], "bad edge entry (0, True): expected (i, j) or (i, j, w), i, j integers, w real"),
+            ([(0, 1.5)], "bad edge entry (0, 1.5): expected (i, j) or (i, j, w), i, j integers, w real"),
+            ([(np.int64(0), 1), (3, 3)], "self-loop at node 3"),
+            ([(np.int64(0), 1), [2, 1]], "duplicate edge (1, 2)"),
+            ([(0, 1, 2), (0, 3, math.nan)], "edge (0, 3) has non-positive or non-finite weight nan"),
+        ],
+        ids=["bool-node", "float-node", "numpy-node-then-self-loop", "numpy-node-then-duplicate",
+             "int-weight-then-nan-weight"],
+    )
+    def test_first_error_on_a_mixed_edge_list(self, tail, message):
+        # valid [i, j] and [i, j, w] entries, taken as they are, then entries
+        # that need converting or fail: the first error and its message as
+        # the per-entry conversion gave them
+        with pytest.raises(GraphError) as info:
+            Graph(4, [[1, 2], [2, 3, 2.5], *tail])
+        assert str(info.value) == message
+
+    def test_mixed_edge_list_equals_its_converted_edges(self):
+        g = Graph(4, [[1, 2], (2, 3, 2.5), (np.int64(0), 1), (0, 3, 2), [0, 2, np.float64(0.5)]])
+        assert g.edges == ((0, 1, 1.0), (0, 2, 0.5), (0, 3, 2.0), (1, 2, 1.0), (2, 3, 2.5))
+        assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in g.edges)
+        assert degrees(g).tolist() == [3.5, 2.0, 4.0, 4.5]
+        single = Graph(1, ())
+        assert degrees(single).dtype == laplacian(single).dtype == np.float64
+        assert degrees(single).tolist() == [0.0] and laplacian(single).tolist() == [[0.0]]
 
     def test_accepts_numpy_integers(self):
         g = Graph(np.int64(3), ((np.int64(0), np.int32(1)), (1, 2, np.float64(2.0))))

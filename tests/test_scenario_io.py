@@ -280,6 +280,32 @@ class TestOutputFiles:
         assert after.st_ino == before.st_ino
         assert stat.S_IMODE(after.st_mode) == 0o640
 
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_cuts_only_a_file_longer_than_the_new_bytes(self, tmp_path, monkeypatch, writer):
+        # a cut to the file's own length still updates its times, a journaled
+        # inode change: a rewrite of the same bytes makes no ftruncate call
+        cuts = []
+        real_ftruncate = os.ftruncate
+
+        def spy(fd, length):
+            cuts.append(length)
+            return real_ftruncate(fd, length)
+
+        path = tmp_path / "out"
+        WRITERS[writer](path)
+        expected = path.read_bytes()
+        monkeypatch.setattr(os, "ftruncate", spy)
+        WRITERS[writer](path)
+        assert cuts == [] and path.read_bytes() == expected
+        path.write_bytes(expected[: len(expected) // 2])
+        WRITERS[writer](path)
+        assert cuts == [] and path.read_bytes() == expected
+        path.write_bytes(expected + b"old tail")
+        WRITERS[writer](path)
+        assert cuts == [len(expected)] and path.read_bytes() == expected
+        WRITERS[writer](os.devnull)
+        assert cuts == [len(expected)]
+
     @pytest.mark.parametrize("writer", ["json", "matrix-csv", "sweep-csv"])
     def test_devnull_is_written_and_not_cut(self, writer):
         WRITERS[writer](os.devnull)  # ftruncate would fail on a character device
