@@ -58,8 +58,12 @@ class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit 1, the validation-error code.
 
     argparse exits 2, which this CLI reserves for computation errors.
-    Subparsers are created with the parser's own class, so they inherit this.
+    Subparsers are created with the parser's own class, so they inherit
+    this. `build_parser` sets the top parser's `commands`: each command's
+    subparser, by name.
     """
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -74,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Attacker-defender resilience games on networked dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("centrality", help="degrees, center, and effective center")
     _add_common(p)
@@ -261,8 +266,32 @@ _COMMANDS = {
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with a command's words handed straight to its subparser.
+
+    The top parser hands every word after the command to the subparser
+    unread, so for an argv that starts with a command this skips only its
+    own scan of them. Words the subparser leaves over are reported by the
+    top parser, with parse_args's message. Any other argv (-h, none, an
+    unknown command) goes through parse_args itself.
+    """
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the exit code: 0, or 1, 2 or 3 (see the module docstring).
+
+    argv defaults to sys.argv[1:]. It is parsed as build_parser().parse_args
+    parses it, usage errors included (`_parse`).
+    """
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         # checked before any work, so a usage error never waits on a computation
         if getattr(args, "fmt", None) == "csv" and not args.out:

@@ -224,8 +224,11 @@ class EquilibriumReport:
 
 
 def _law1_costs(g: Graph, gain: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, ĉ): law-1 W's undefended entries c = (d+1)/2 and defended ĉ = c/(1+κ), per gain of a column."""
-    c = 0.5 * (degrees(g) + 1.0)
+    """(c, ĉ): law-1 W's undefended entries c = (d+1)/2 and defended ĉ = c/(1+κ), per gain of a column.
+
+    c is the graph's read-only `_costs`, computed once per graph.
+    """
+    c = g._costs
     return c, c / (1.0 + gain)
 
 

@@ -161,6 +161,13 @@ class Graph:
         return d
 
     @cached_property
+    def _costs(self) -> np.ndarray:
+        """(d+1)/2 per node, from `_degrees`, once per graph; read-only: law-1 W's undefended entries."""
+        c = 0.5 * (self._degrees + 1.0)
+        c.flags.writeable = False
+        return c
+
+    @cached_property
     def _laplacian(self) -> np.ndarray:
         """The Laplacian, built once per graph and read-only; see `laplacian`.
 

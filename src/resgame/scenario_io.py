@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import json
+import locale
+import math
 import os
 import stat
 from collections.abc import Iterator
@@ -106,36 +109,55 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
 
 
+_BUFFER = 1 << 16  # bytes per read of an input file and per buffered write of an output file
+
+
 def _read_text(path: Path) -> str:
-    """The file's text; an OSError becomes a ConfigError naming the path."""
+    """The file's text, as `Path.read_text` gives it; an OSError becomes a ConfigError naming the path.
+
+    Its bytes are read with os.open and os.read, with no file object, and
+    decoded in the locale's encoding with universal newlines: each \\r\\n
+    and each lone \\r becomes \\n. A file that is not valid in that
+    encoding raises the same UnicodeDecodeError as read_text.
+    """
     try:
-        return path.read_text()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = b"".join(iter(functools.partial(os.read, fd, _BUFFER), b""))
+        except OSError as exc:  # a directory opens and fails here, where open() named it
+            exc.filename = os.fspath(path)
+            raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
+    text = data.decode(locale.getpreferredencoding(False))
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _untruncated(path, flags: int) -> int:
-    """open()'s opener for mode "w" without O_TRUNC: ext4 starts writeback on closing a file cut to 0 bytes."""
+    """open()'s opener for mode "wb" without O_TRUNC: ext4 starts writeback on closing a file cut to 0 bytes."""
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 @contextmanager
 def _open_out(path: str | Path):
-    """Text file opened for writing; an OSError becomes a ConfigError naming the path.
+    """Binary file opened for writing; an OSError becomes a ConfigError naming the path.
 
-    An existing file is written in place and, if regular and longer than
-    what was written, cut to the written length on the way out, also when
-    the writer raises. A rewrite of the same length makes no `ftruncate`
+    Buffered, with no text layer: every writer writes bytes. An existing
+    file is written in place and, if regular and longer than what was
+    written, cut to the written length on the way out, also when the
+    writer raises. A rewrite of the same length makes no `ftruncate`
     call: one to the file's own length still updates its times, a
-    journaled inode change. The byte writers write to its `.buffer` alone.
+    journaled inode change.
     """
     try:
-        with open(path, "w", newline="", opener=_untruncated) as fh:
+        with open(path, "wb", buffering=_BUFFER, opener=_untruncated) as fh:
             try:
                 yield fh
             finally:
                 fh.flush()
-                st, length = os.fstat(fh.fileno()), fh.buffer.tell()
+                st, length = os.fstat(fh.fileno()), fh.tell()
                 if stat.S_ISREG(st.st_mode) and st.st_size > length:
                     os.ftruncate(fh.fileno(), length)
     except OSError as exc:
@@ -151,7 +173,7 @@ def write_graph(g: Graph, path: str | Path, fmt: str = "json") -> None:
     else:
         raise ConfigError(f"unknown graph format {fmt!r}")
     with _open_out(path) as fh:
-        fh.write(text)
+        fh.write(text.encode())
 
 
 def scenario_from_dict(obj: dict, base_dir: str | Path = ".") -> Scenario:
@@ -414,23 +436,63 @@ def _matrix_bytes(blocks):
     yield b"\n    ]\n  ]"
 
 
+_escape = json.encoder.encode_basestring_ascii  # json's own string encoder, in C
+
+
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), each line after the first indented by `pad`.
+
+    Leaves (str, int, finite float, bool, None) are tested in json's order
+    and written by json's own functions; lists, tuples and str-keyed dicts
+    are laid out here. Anything else (nan, inf, other keys, a value json
+    cannot encode) goes to json.dumps, which writes it or raises; its text
+    is indented by one replace, exact since json escapes newlines in strings.
+    """
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_escape(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _report_bytes(report: dict):
     """json.dumps(report, indent=2, sort_keys=True) as ASCII bytes, in pieces; see `json_pieces`."""
     if not any(isinstance(value, (np.ndarray, Iterator)) for value in report.values()):
-        yield json.dumps(report, indent=2, sort_keys=True).encode()
+        yield _json_text(report).encode()
         return
     head = b"{"
     for key in sorted(report):
         value = report[key]
-        yield head + b"\n  " + json.dumps(key).encode() + b": "
+        yield head + b"\n  " + _escape(key).encode() + b": "
         head = b","
         if isinstance(value, np.ndarray) and value.size:
             yield from _matrix_bytes(_row_blocks(value))
         elif isinstance(value, Iterator):
             yield from _matrix_bytes(value)
-        else:  # exact: json escapes newlines in strings, so each raw one is layout
+        else:
             plain = value.tolist() if isinstance(value, np.ndarray) else value  # an empty array
-            yield json.dumps(plain, indent=2, sort_keys=True).replace("\n", "\n  ").encode()
+            yield _json_text(plain, "  ").encode()
     yield b"\n}"
 
 
@@ -453,8 +515,8 @@ def json_pieces(report: dict):
 def write_json_report(obj: dict, path: str | Path) -> None:
     """The report as json.dumps(obj, indent=2, sort_keys=True) plus a newline, streamed as bytes."""
     with _open_out(path) as fh:
-        fh.buffer.writelines(_report_bytes(obj))
-        fh.buffer.write(b"\n")
+        fh.writelines(_report_bytes(obj))
+        fh.write(b"\n")
 
 
 def _decode_subset(sub) -> str:
@@ -462,19 +524,14 @@ def _decode_subset(sub) -> str:
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["kappa", "defender", "attacker", "value", "kind"])
+    for row in rows:
+        subsets = _decode_subset(row.defender_set), _decode_subset(row.attacker_set)
+        writer.writerow([repr(row.kappa), *subsets, repr(row.value), row.kind])
     with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kappa", "defender", "attacker", "value", "kind"])
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row.kappa),
-                    _decode_subset(row.defender_set),
-                    _decode_subset(row.attacker_set),
-                    repr(row.value),
-                    row.kind,
-                ]
-            )
+        fh.write(text.getvalue().encode())
 
 
 def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
@@ -483,7 +540,7 @@ def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:
     heads = [f"{r}:{_decode_subset(sub)}" for r, sub in enumerate(m.index.subsets.tolist())]
     with _open_out(path) as fh:
         # a float's repr and a header hold nothing csv.writer would quote
-        fh.buffer.write(",".join(["defender\\attacker", *heads]).encode() + b"\r\n")
+        fh.write(",".join(["defender\\attacker", *heads]).encode() + b"\r\n")
         heads = (head.encode() + b"," for head in heads)
         for text in _marked(blocks, b",", repr):
-            fh.buffer.write(b"".join(head + row + b"\r\n" for row, head in zip(text.split(b";")[1:], heads)))
+            fh.write(b"".join(head + row + b"\r\n" for row, head in zip(text.split(b";")[1:], heads)))

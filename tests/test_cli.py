@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import resgame
-from resgame import game
+from resgame import cli, game
 from resgame.cli import build_parser, main
 from resgame.scenario_io import write_graph
 
@@ -262,6 +262,64 @@ def test_reused_parser_matches_fresh_parsers(capsys, clique_plus_path):
     assert [code for code, _, _ in reused] == [0, 1, 0]
     assert reused == fresh
     assert reused[1][2].startswith(b"usage: resgame solve")
+
+
+_GAME = ["--law", "1", "--gain", "0.5", "--f", "2"]
+_VALID = {
+    "centrality": [["--graph", "g.txt"], ["--gra", "g.txt", "--out=r.json"], ["--graph", "a", "--graph", "b"]],
+    "h2": [["--graph", "g", "--law", "2", "--gain=-1e3", "--attack", "0,1", "--oracle"],
+           ["--config", "c.json", "--out=--", "--con", "d.json"], []],
+    "matrix": [["--graph", "g", *_GAME, "--format", "csv", "--out", "m.csv"], ["--gr=g", *_GAME, "--f", "1"]],
+    "solve": [["--graph", "g", *_GAME], ["--graph=g", "--law=2", "--gain", "1e-3", "--f", "3", "--f=1"]],
+    "sweep": [["--graph", "g", "--law", "1", "--gains", "0.1,2", "--f", "1", "--fo", "json"]],
+    "verify": [[], ["--seed", "3", "--trials=2", "--nm", "5", "--inject-fault", "laplacian-sign"]],
+}
+_INVALID = {
+    "centrality": [["--graph", "g", "--bogus"], [], ["--graph"], ["--graph", "g", "--"], ["--", "--graph", "g"]],
+    "h2": [["--law", "3"], ["--gain", "x"], ["--graph", "g", "extra", "words"], ["--o", "x"]],
+    "matrix": [["--graph", "g", "--law", "1", "--gain", "1"], ["--graph", "g", *_GAME, "--format", "xml"]],
+    "solve": [["--graph", "g", "--law", "3", "--gain", "1", "--f", "1"], ["--graph", "g", *_GAME, "-x"]],
+    "sweep": [["--graph", "g", "--law", "1", "--gains"], ["--graph", "g", "--law", "1", "--gains", "1", "--f", "x"]],
+    "verify": [["--seed", "x"], ["--trials", "1", "stray"], ["--inject-fault", "other"]],
+}
+
+
+def _parse_outcome(capsys, parse, argv):
+    """parse(argv)'s namespace, or its exit code, with what it printed."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(_VALID))
+def test_dispatch_parses_as_the_full_parser(capsys, command):
+    # main hands a command's words straight to its subparser; the namespace,
+    # or the exit code and every printed byte, must be those of parse_args
+    parser = build_parser()
+    valid = [[command, *words] for words in _VALID[command]]
+    invalid = [[command, *words] for words in _INVALID[command]]
+    helps = [[command, "-h"], [command, "--graph", "g", "--help"]]
+    for argv in valid + invalid + helps:
+        expected = _parse_outcome(capsys, parser.parse_args, argv)
+        assert _parse_outcome(capsys, cli._parse, argv) == expected, argv
+        if argv in valid:
+            assert expected[0].command == command and expected[1:] == ("", "")
+        else:
+            assert expected[0] == (0 if argv in helps else 1) and (expected[1] or expected[2])
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["nosuchcommand", "--graph", "g"], ["--graph", "g", "h2"]])
+def test_argv_without_a_leading_command_goes_to_the_full_parser(capsys, monkeypatch, argv):
+    parser = build_parser()
+    full = parser.parse_args
+    expected = _parse_outcome(capsys, full, argv)
+    calls = []
+    monkeypatch.setattr(parser, "parse_args", lambda words: calls.append(words) or full(words))
+    assert _parse_outcome(capsys, cli._parse, argv) == expected
+    assert calls == [argv] and expected[0] in (0, 1)
 
 
 def test_help_exits_zero(capsys):

@@ -595,6 +595,25 @@ class TestLaw1FromCosts:
                     checked += 1
         assert checked > 100
 
+    def test_costs_are_cached_per_graph_and_equal_the_degree_formula(self, rng):
+        # c = (d+1)/2 is read from the graph; c and ĉ keep the bits of the formula computed per call
+        gains = [1e-12, 0.3, 1.0, 1.0 + 2**-52, 7.5, 1e6]
+        weighted = random_connected_graph(rng, 9, weighted=True)
+        for g in [path_graph(5), star_graph(6), complete_graph(4), weighted]:
+            expected = 0.5 * (degrees(g) + 1.0)
+            for gain in gains:
+                c, c_hat = game_module._law1_costs(g, gain)
+                assert c.tobytes() == expected.tobytes() and not c.flags.writeable
+                assert c_hat.tobytes() == (expected / (1 + gain)).tobytes()
+            column = np.array(gains)[:, None]
+            c_col, c_hat = game_module._law1_costs(g, column)
+            assert c_col is c  # one array per graph
+            assert c_hat.shape == (len(gains), g.n)
+            assert c_hat.tobytes() == (expected / (1 + column)).tobytes()
+            d = degrees(g)
+            d += 1.0  # still a fresh writable copy, apart from the cached costs
+            assert c.tobytes() == (0.5 * (degrees(g) + 1.0)).tobytes()
+
     def test_sweeps_equal_per_gain_solves(self, rng, monkeypatch):
         # blocks of 1-3 gains: every sweep here spans several of `_law1_leaders`' blocks
         monkeypatch.setattr(game_module, "_BLOCK_CELLS", 100)

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import os
 import re
 import stat
@@ -17,6 +19,7 @@ from resgame import (
     ConfigError,
     ControlLaw,
     EquilibriumReport,
+    Graph,
     GraphError,
     SweepRow,
     build_matrix,
@@ -127,6 +130,92 @@ class TestGraphRoundTrip:
         path.write_text('{"n": 3,\n  "edges": [[0, 1],]}')
         with pytest.raises(GraphError, match="line 2"):
             load_graph(path)
+
+
+def _read_text_reference(path):
+    """load_graph as it read a file with Path.read_text: the graph, or the exception's type and text."""
+    try:
+        text = path.read_text()
+        if path.suffix == ".json" or text.lstrip().startswith("{"):
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise GraphError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+            return parse_graph_json(obj)
+        return parse_graph_text(text)
+    except (GraphError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+def _loaded(path):
+    try:
+        return load_graph(path)
+    except (GraphError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+_LINES = {
+    "text": ["# a weighted triangle", "0 1 2.5", "1 2", "", "0 2  # last"],
+    "text-malformed": ["0 1", "1 2 3 4", "2 3"],
+    "json": ["{", '  "n": 3,', '  "edges": [[0, 1, 2.5], [1, 2],', "  [0, 2]]", "}"],
+    "json-malformed": ["{", '  "n": 3,', '  "edges": [[0, 1],', "  ]", "}"],
+}
+_TRIANGLE = Graph(3, ((0, 1, 2.5), (1, 2, 1.0), (0, 2, 1.0)))
+_LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r", "cr-crlf": "\r\r\n"}
+
+
+class TestGraphFileBytes:
+    """load_graph reads bytes with os.read and decodes them as Path.read_text did."""
+
+    @pytest.mark.parametrize("end", list(_LINE_ENDS))
+    @pytest.mark.parametrize("kind", list(_LINES))
+    @pytest.mark.parametrize("suffix", [".json", ".txt"])
+    def test_line_ends_load_as_read_text_loads_them(self, tmp_path, kind, end, suffix):
+        path = tmp_path / f"graph{suffix}"
+        path.write_bytes(_LINE_ENDS[end].join(_LINES[kind]).encode() + _LINE_ENDS[end].encode())
+        assert _loaded(path) == _read_text_reference(path)
+
+    @pytest.mark.parametrize("end", ["crlf", "cr"])
+    def test_crlf_and_cr_files_load_as_lf_files(self, tmp_path, end):
+        for kind in _LINES:
+            paths = {name: tmp_path / f"{name}.dat" for name in ("lf", end)}
+            for name, path in paths.items():
+                path.write_bytes(_LINE_ENDS[name].join(_LINES[kind]).encode())
+            lf, other = (_loaded(path) for path in paths.values())
+            if kind.endswith("malformed"):  # the same line named
+                assert other == (GraphError, lf[1].replace(str(paths["lf"]), str(paths[end])))
+                assert "line 2" in other[1] or "line 4" in other[1]
+            else:
+                assert other == lf == _TRIANGLE
+
+    def test_file_longer_than_one_read(self, tmp_path):
+        path = tmp_path / "long.txt"
+        write_graph(path_graph(20_000), path, fmt="text")
+        assert path.stat().st_size > 3 * scenario_io._BUFFER
+        assert load_graph(path) == path_graph(20_000)
+
+    @pytest.mark.parametrize("data", [b"0 1\n1 \xff2\n", b"\xef\xbb\xbf0 1\n", b'{"n": 2, "edges": [[0, 1, "\xe9"]]}'])
+    def test_bytes_outside_the_locale_encoding_raise_as_read_text(self, tmp_path, data):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(data)
+        try:
+            path.read_text()
+        except UnicodeDecodeError as exc:
+            with pytest.raises(UnicodeDecodeError) as raised:
+                load_graph(path)
+            assert raised.value.args == exc.args
+        else:  # the UTF-8 BOM decodes to U+FEFF, which parse_graph_text rejects
+            assert _loaded(path) == _read_text_reference(path)
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_path_is_a_config_error_naming_it(self, tmp_path, target):
+        path = tmp_path / "none.txt" if target == "missing" else tmp_path
+        with pytest.raises(OSError) as exc:
+            path.read_text()
+        with pytest.raises(ConfigError) as raised:
+            load_graph(path)
+        assert str(raised.value) == f"cannot read {path}: {exc.value}"
+        assert str(path) in str(exc.value)
 
 
 class TestScenarioConfig:
@@ -280,6 +369,30 @@ class TestOutputFiles:
         assert after.st_ino == before.st_ino
         assert stat.S_IMODE(after.st_mode) == 0o640
 
+    def test_files_are_opened_binary_and_buffered(self, tmp_path):
+        with scenario_io._open_out(tmp_path / "out") as fh:
+            assert isinstance(fh, io.BufferedWriter) and fh.mode == "wb"
+            with pytest.raises(TypeError):
+                fh.write("text")  # no text layer
+            fh.write(b"bytes")
+        assert (tmp_path / "out").read_bytes() == b"bytes"
+
+    def test_text_writers_write_what_a_text_file_held(self, tmp_path, rng):
+        rows = sweep_gain(path_graph(5), 2, ControlLaw.ABS_VELOCITY, [0.25, 1.0, 3.0])
+        write_sweep_csv(rows, tmp_path / "sweep.csv")
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["kappa", "defender", "attacker", "value", "kind"])
+            for r in rows:
+                writer.writerow([repr(r.kappa), "+".join(map(str, r.defender_set)),
+                                 "+".join(map(str, r.attacker_set)), repr(r.value), r.kind])
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        g = random_connected_graph(rng, 7, weighted=True)
+        write_graph(g, tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_text() == json.dumps(graph_to_json(g)) + "\n"
+        write_graph(g, tmp_path / "g.txt", fmt="text")
+        assert (tmp_path / "g.txt").read_text() == "".join(f"{i} {j} {w!r}\n" for i, j, w in g.edges)
+
     @pytest.mark.parametrize("writer", WRITERS)
     def test_cuts_only_a_file_longer_than_the_new_bytes(self, tmp_path, monkeypatch, writer):
         # a cut to the file's own length still updates its times, a journaled
@@ -390,6 +503,25 @@ _JSON = st.recursive(
 )
 # a report: str keys; each value plain JSON data or a 2-D float or integer array
 _REPORTS = st.dictionaries(st.text(), _JSON | _MATRICES, max_size=5)
+# the leaves `_json_text` writes itself, and those it leaves to json.dumps: nan and +-inf
+_LEAVES = (
+    st.text()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.sampled_from([True, False, 1, 0, None, 2**63, -(2**63) - 1, 2**64])
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, math.nan, math.inf, -math.inf])
+    | _FLOATS.map(np.float64)
+)
+# reports with no array: nested dicts with str keys, lists and tuples
+_PLAIN_REPORTS = st.dictionaries(st.text(), st.recursive(
+    _LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=12,
+), max_size=5)
 
 
 class TestJsonRenderer:
@@ -404,6 +536,52 @@ class TestJsonRenderer:
         plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in report.items()}
         expected = json.dumps(plain, indent=2, sort_keys=True)
         assert "".join(json_pieces(report)) == expected
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(_PLAIN_REPORTS)
+    @example({"s": ["", "a\n\"b\"\\\t\x00\x1f\x7f", "\u00e9\u2603\U0001f600\ud800"],
+              "big": (2**63, -(2**64), 10**40), "flags": [True, False, 1, 0, 1.0, 0.0, None],
+              "floats": [-0.0, 5e-324, 0.1, 1e16, 1e-5, math.nan, math.inf, -math.inf, np.float64(2.5)],
+              "nested": {"z": {"y": [(), [], {}], "": ((1,),)}, "\u00e9": {"a": [None]}}})
+    def test_array_free_report_matches_json_dumps(self, report):
+        assert "".join(json_pieces(report)) == json.dumps(report, indent=2, sort_keys=True)
+
+    def test_plain_values_are_rendered_without_json_dumps(self, monkeypatch):
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: calls.append(args) or dumps(*args, **kwargs))
+        plain = {"kind": "nash", "value": 0.1, "set": (0, 2), "big": 2**70, "ok": True, "x": None,
+                 "nested": {"b": [], "a": [{"c": -0.0}]}}
+        fallback = {"keys": {1: "a", 2: "b"}, "nan": math.nan, "inf": [math.inf]}
+        assert "".join(json_pieces(plain)) == dumps(plain, indent=2, sort_keys=True)
+        assert calls == []
+        assert "".join(json_pieces({**plain, **fallback})) == dumps({**plain, **fallback}, indent=2, sort_keys=True)
+        assert calls == [(math.inf,), ({1: "a", 2: "b"},), (math.nan,)]  # in key order
+
+    @pytest.mark.parametrize("value", [{1: "a", 10: [2.5, {"b": None}], -3: {}}, {"a": {2: {3: (4,)}}},
+                                       [{True: 1}], {"a": {0.5: 1, 2.5: 2}}])
+    def test_dicts_with_other_keys_fall_back_to_json_dumps(self, value):
+        for report in ({"v": value}, {"v": value, "m": np.eye(2)}):
+            plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in report.items()}
+            assert "".join(json_pieces(report)) == json.dumps(plain, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("report", [{"v": np.int64(3)}, {"v": [1, {"w": np.int64(3)}]},
+                                        {"v": {1: "a", "b": 2}}, {"v": {"a": object()}},
+                                        {"v": [np.int64(3)], "m": np.eye(2)}])
+    def test_values_json_cannot_encode_raise_as_json_dumps(self, report):
+        plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in report.items()}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(plain, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as raised:
+            "".join(json_pieces(report))
+        assert str(raised.value) == str(expected.value)
+
+    def test_matrix_report_with_nested_values(self):
+        report = {"values": np.arange(6.0).reshape(2, 3), "subsets": [[0, 1], (2, 3)],
+                  "meta": {"law": 2, "gains": (0.5, math.inf), "deep": [{"k": {1: [True]}}, "\u00e9\n"]},
+                  "empty": np.zeros((0, 2)), "none": None}
+        plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in report.items()}
+        assert "".join(json_pieces(report)) == json.dumps(plain, indent=2, sort_keys=True)
 
     def test_array_free_report_is_one_piece(self):
         report = {"kind": "nash", "value": 0.1, "defender_set": [0, 2], "nested": {"b": [], "a": None}}

@@ -16,9 +16,12 @@ order of benchmarks/workloads.py, so checking one takes seconds.
 Each task that succeeds is then run a second time into the same path,
 after junk has been appended to its output so that the old file is
 longer: an `--out` file is rewritten in place and cut to length, so the
-second output must have the first one's digest. The digests printed are
-those of the first run; a task whose second digest differs is named on
-stderr, and the script exits 1 after printing every line.
+second output must have the first one's digest. Each JSON task that
+succeeds is also run once without `--out`, and its stdout is captured:
+stdout and `--out` get the same bytes, so those must equal the file's.
+The digests printed are those of the first run; a task whose second
+digest or whose stdout differs is named on stderr, and the script exits 1
+after printing every line.
 
 The `resgame` and `benchmarks` imported are those of the checkout that
 holds this script. BLAS runs on one thread unless OMP_NUM_THREADS or
@@ -29,7 +32,9 @@ of a float between runs, and a digest shows that as a change.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -41,6 +46,14 @@ JUNK = b"\0junk past the end of the first output\n" * 100
 
 def _digest(path: Path, code: int) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if code == 0 else f"exit {code}"
+
+
+def _stdout(run, argv: list[str]) -> bytes:
+    """What run(argv) prints to stdout, as bytes."""
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        run(argv)
+    return captured.getvalue().encode()
 
 
 def _seeds(text: str) -> list[int]:
@@ -67,7 +80,7 @@ def main() -> int:
     unknown = sorted(set(chosen) - set(workloads.WORKLOADS))
     if unknown:
         parser.error(f"unknown workloads {unknown}; choose from {list(workloads.WORKLOADS)}")
-    mismatched = []
+    mismatched, unlike_stdout = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for name in (name for name in workloads.WORKLOADS if name in chosen):
@@ -79,14 +92,21 @@ def main() -> int:
                     code = resgame_main(task.argv(graph, out))
                     digest = _digest(out, code)
                     print(seed, task.id, digest, flush=True)
-                    if code == 0:
-                        with open(out, "ab") as fh:
-                            fh.write(JUNK)
-                        if _digest(out, resgame_main(task.argv(graph, out))) != digest:
-                            mismatched.append(f"{seed} {task.id}")
+                    if code != 0:
+                        continue
+                    if task.out_suffix == ".json":
+                        argv = task.argv(graph, out)[:-2]  # without its trailing --out PATH
+                        if _stdout(resgame_main, argv) != out.read_bytes():
+                            unlike_stdout.append(f"{seed} {task.id}")
+                    with open(out, "ab") as fh:
+                        fh.write(JUNK)
+                    if _digest(out, resgame_main(task.argv(graph, out))) != digest:
+                        mismatched.append(f"{seed} {task.id}")
     for task in mismatched:
         print(f"overwrite changed the output of {task}", file=sys.stderr)
-    return 1 if mismatched else 0
+    for task in unlike_stdout:
+        print(f"stdout differs from the --out file of {task}", file=sys.stderr)
+    return 1 if mismatched or unlike_stdout else 0
 
 
 if __name__ == "__main__":
