@@ -9,7 +9,6 @@ optimal strategies reduce to graph centralities.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from collections.abc import Iterator
@@ -138,8 +137,8 @@ class GameMatrix:
         """(W̃, τ): a table of W's shape and a bound τ on |W̃ - rows| entry by entry.
 
         For law 2 with no exact table in hand, the low-rank rows of
-        `_low_rank_rows`, from the `_shifted` inverse that a sweep hands
-        each of its games, or else inverts here; the game keeps no copy.
+        `_low_rank_rows`, from the `_shifted` R that a sweep hands each
+        of its games, or else builds here; the game keeps no copy.
         Otherwise, or when G cannot be factored or τ is not finite, W̃ is
         `rows` itself and τ = 0: the exact case of the same decisions.
         """
@@ -147,10 +146,9 @@ class GameMatrix:
             subsets = self.index.subsets  # the cap is checked before G is inverted
             shifted = vars(self).pop("_shifted", None) or _shifted(self.graph)
             if shifted is not None:
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    w, tau = _low_rank_rows(shifted, self.gain, subsets)
-                    if math.isfinite(tau):
-                        return w, tau
+                w, tau = _low_rank_rows(shifted, self.gain, subsets)
+                if math.isfinite(tau):
+                    return w, tau
         return self.rows, 0.0
 
     @cached_property
@@ -290,78 +288,67 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarr
 
 
 _UNIT_ROUNDOFF = 2.0**-53
-# A chunk of low-rank rows holds 2 x _CHUNK_BYTES of intermediates:
-# 256 KB in all. Larger chunks raise the peak memory of a solve above that
-# of the factored rows, and are no faster.
+# Bytes per chunk of `_low_rank_rows`' rows and of each downdate column (64 KB ran 15% slower at f = 5)
 _CHUNK_BYTES = 1 << 17
 
 
-def _shifted(g: Graph) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
-    """(G, diag G, d_max, R) for `_low_rank_rows`, None when G does not factor; no gain enters it.
+def _shifted(g: Graph) -> tuple[float, np.ndarray] | None:
+    """(d_max, R) for `_low_rank_rows`, None when G does not factor; no gain enters it.
 
-    R is the n x n resistance matrix read from G, R_vi = G_vv - 2 G_vi + G_ii.
+    R_vi = G_vv - 2 G_vi + G_ii is built in the array of G = shifted_inverse(g, d_max).
     """
     d_max = float(degrees(g).max())
     try:
-        big_g = shifted_inverse(g, d_max)
+        r = shifted_inverse(g, d_max)
     except np.linalg.LinAlgError:
         return None
-    diag = np.diag(big_g)
-    return big_g, diag, d_max, diag[:, None] - 2.0 * big_g + diag
+    diag = r.diagonal().copy()
+    r *= -2.0
+    r += diag[:, None]
+    r += diag
+    return d_max, r
 
 
+@np.errstate(all="ignore")  # an inf or NaN in W̃ makes τ not finite, and `approx` falls back to `rows`
 def _low_rank_rows(shifted: tuple, gain: float, defender_sets: np.ndarray) -> tuple[np.ndarray, float]:
-    """Law-2 W for the (R, f) node array from one n x n inverse, and a bound τ on its error.
+    """Law-2 W for the (N, f) node array from the resistance matrix R, and a bound τ on its error.
 
-    `shifted` is `_shifted(g)`, (G, diag G, a, R) with
-    G = shifted_inverse(g, a), a = d_max and R the resistance matrix.
-    For f = 1, D = {v}, the row is (1/κ + R[v]) / 2, read from R in O(n).
-    For f ≥ 2, L + κP_D = G⁻¹ - a 11ᵀ/n + κP_D and G1 = 1/a. Woodbury with
-    U = [1, G e_D] and K = [[0, 1ᵀ], [1, M]], M = I/κ + G_DD, with the
-    ones row of K eliminated by hand, gives for g_i = G[D, i]
-    diag((L + κP_D)⁻¹)_i = G_ii - g_iᵀM⁻¹g_i + (1ᵀM⁻¹g_i - 1)² / 1ᵀM⁻¹1:
-    one f x f inverse and O(n f² + f³) per row, with no solve over n
-    right-hand sides, batched in chunks of _CHUNK_BYTES. At f = 1 this is
-    1/κ + R_vi, the closed form above.
+    `shifted` is `_shifted(g)`, (d_max, R). Grounding d₁ alone gives
+    H = (L + κe₁e₁ᵀ)⁻¹, H_ab = 1/κ + (R_d₁a + R_d₁b - R_ab)/2, so the f = 1
+    row is (1/κ + R[v]) / 2. Each further defender d_s is one rank-one
+    downdate (Sherman & Morrison 1950; Kron form: Dörfler & Bullo 2013),
+    h_s = H e_{d_s} - Σ_{t<s} h_t h_t[d_s]/p_t, p_s = 1/κ + h_s[d_s] and
+    diag -= h_s²/p_s, kept doubled (g = 2h, q = 4p: same rounding, one pass
+    fewer): elementwise passes over chunks of rows, no f x f inverse.
 
-    τ = 8 n u ĉ max|W̃|, with u the unit roundoff and
-    ĉ = (2 d_max + κ) n (1/κ + max R) ≥ cond₂(L + κP_D) for every D:
-    Gershgorin bounds ‖L + κP_D‖₂ by 2 d_max + κ, and for v in D,
-    ‖(L + κP_D)⁻¹‖₂ ≤ tr((L + κP_v)⁻¹) = Σᵢ (1/κ + R_vi). Only that
-    bound on cond₂ is proven. That n u ĉ max|W̃| bounds |W̃ - W|, which
-    adds the rounding of G, of R or the f x f inverses, and of the factored
-    rows, is the usual first-order estimate, and the factor 8 was
-    calibrated, not derived: on 2- and 3-node graphs the factored rows
-    alone are off by up to 0.5 n u ĉ max|W̃|. tests/test_game.py checks
-    |W̃ - W| ≤ τ/8 on random unit-weight graphs, cycles, stars, complete
-    graphs, twin leaves, weights 10^±6 with gains 1e-8 and 1e8, and the
-    150-node path.
+    τ = 8 n u ĉ max|W̃|, u the unit roundoff, ĉ = (2 d_max + κ) n (1/κ + max R)
+    ≥ cond₂(L + κP_D) for every D. Only that bound on cond₂ is proven; the
+    factor 8 was calibrated on the families where tests/test_game.py checks
+    |W̃ - W| ≤ τ/8 (docs/formats.md, "Certified low-rank rows").
     """
-    big_g, diag, d_max, r = shifted
-    n, f = len(big_g), defender_sets.shape[1]
-    c_hat = (2.0 * d_max + gain) * n * (1.0 / gain + float(r.max()))
-    if f == 1:
-        w = r[defender_sets[:, 0]]
-        w += 1.0 / gain
-    else:
-        w = np.empty((len(defender_sets), n))
-        # per row, g and M⁻¹g take f rows of n floats each and p and q one each
-        step = max(1, _CHUNK_BYTES // (8 * n * (f + 1)))
-        for lo in range(0, len(w), step):
-            sets = defender_sets[lo : lo + step]
-            gd = big_g[sets]
-            m = big_g[sets[:, :, None], sets[:, None, :]]
-            m[:, range(f), range(f)] += 1.0 / gain
-            m_inv = np.linalg.inv(m)
-            a = m_inv @ gd
-            p = np.einsum("ckn->cn", a)  # 1ᵀM⁻¹g_i
-            q = np.einsum("ckn,ckn->cn", a, gd)  # g_iᵀM⁻¹g_i
-            p -= 1.0
-            p *= p
-            p /= m_inv.sum(axis=(1, 2))[:, None]
-            p -= q
-            np.add(diag, p, out=w[lo : lo + len(sets)])
-    w *= 0.5
+    d_max, r = shifted
+    n, k = len(r), 1.0 / gain
+    c_hat = (2.0 * d_max + gain) * n * (k + float(r.max()))
+    w = np.empty((len(defender_sets), n))
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    for lo in range(0, len(w), step):
+        sets = defender_sets[lo : lo + step]
+        diag, at, first = w[lo : lo + step], np.arange(len(sets)), sets[:, 0]
+        np.take(r, first, axis=0, out=diag, mode="clip")  # "raise" would fill a buffer, then copy it
+        diag += k
+        downdates = []
+        for d in sets[:, 1:].T:
+            g = np.take(r, d, axis=0)
+            np.subtract(diag, g, out=g)
+            g += (r[first, d] + k)[:, None]  # 2 H e_d
+            for g_t, q_t in downdates:
+                g -= g_t * (2.0 * (g_t[at, d] / q_t))[:, None]
+            downdates.append((g, 4.0 * k + 2.0 * g[at, d]))
+        for g, q in downdates:
+            g *= g
+            g /= q[:, None]
+            diag -= g
+        diag *= 0.5
     return w, 8.0 * n * _UNIT_ROUNDOFF * c_hat * float(np.abs(w).max())
 
 
@@ -587,7 +574,7 @@ def sweep_gain(g: Graph, f: int, law: ControlLaw, kappa_grid) -> list[SweepRow]:
     and each gain's game gets first what it shares. Law 1 without exact
     tables: the `leader_row`s of a block of gains, from one `_law1_leaders`
     call that holds at most _BLOCK_CELLS row maxima, each block solved
-    before the next. Law 2: the one inverse G, `_shifted(g)`.
+    before the next. Law 2: the one resistance matrix, `_shifted(g)`.
     """
     grid = [checked_gain(k) for k in kappa_grid]
     if not grid:

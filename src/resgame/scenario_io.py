@@ -113,12 +113,11 @@ _BUFFER = 1 << 16  # bytes per read of an input file and per buffered write of a
 
 
 def _read_text(path: Path) -> str:
-    """The file's text, as `Path.read_text` gives it; an OSError becomes a ConfigError naming the path.
+    """The file's text, as `Path.read_text` gives it; what read_text raises is a ConfigError naming the path.
 
     Its bytes are read with os.open and os.read, with no file object, and
     decoded in the locale's encoding with universal newlines: each \\r\\n
-    and each lone \\r becomes \\n. A file that is not valid in that
-    encoding raises the same UnicodeDecodeError as read_text.
+    and each lone \\r becomes \\n.
     """
     try:
         fd = os.open(path, os.O_RDONLY)
@@ -129,9 +128,9 @@ def _read_text(path: Path) -> str:
             raise
         finally:
             os.close(fd)
-    except OSError as exc:
+        text = data.decode(locale.getpreferredencoding(False))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
-    text = data.decode(locale.getpreferredencoding(False))
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 

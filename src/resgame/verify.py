@@ -360,6 +360,20 @@ def check_center_predictions(rng, trials, nmax, fault=None):
             _fail("resistance-minimax-vs-subset-loop", f"{pred} vs {best}")
 
 
+def check_certified_rows(rng, trials, nmax, fault=None):
+    # law-2 rows from R within τ/8 of the factored rows, with up to every node
+    # defended, weights 10^U(-6, 6) and gains 10^U(0, 8)
+    for _ in range(trials):
+        h = _graph(rng, 2, min(nmax, 8))
+        g = Graph(h.n, tuple((i, j, float(10.0 ** rng.uniform(-6, 6))) for i, j, _ in h.edges))
+        f = int(rng.integers(1, g.n + 1))
+        m = game.build_matrix(g, float(10.0 ** rng.uniform(0, 8)), f, ControlLaw.REL_VELOCITY)
+        w, tau = m.approx
+        if tau:
+            _within("low-rank-rows-within-tau", float(np.abs(w - m.rows).max()) / tau, 0.125,
+                    f"f={f}, gain={m.gain}, tau={tau}, edges={g.edges}")
+
+
 # every `check_*` function above, in definition order, named by its function
 SUITES = [(name[len("check_"):].replace("_", "-"), fn)
           for name, fn in globals().items() if name.startswith("check_")]

@@ -69,6 +69,14 @@ class TestCentrality:
     def test_missing_file_is_validation_error(self, capsys, tmp_path):
         assert main(["centrality", "--graph", str(tmp_path / "none.txt")]) == 1
 
+    def test_undecodable_file_is_validation_error(self, capsys, tmp_path):
+        # \xff is no UTF-8 byte: a ConfigError naming the file, no traceback
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1\n1 \xff2\n")
+        assert main(["centrality", "--graph", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(path) in err
+
 
 class TestH2:
     def test_law1_defended_value(self, capsys, p3):

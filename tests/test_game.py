@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from functools import cached_property
 from itertools import combinations
 
@@ -679,7 +680,7 @@ class TestCertifiedRows:
         assert self._check(monkeypatch, games) == 72
 
     def test_random_unit_weight_graphs_f4(self, rng, monkeypatch):
-        # the kernel is generic in f: four defenders, an f x f inverse per row
+        # the kernel is generic in f: four defenders, three rank-one downdates per row
         games = [(random_connected_graph(rng, int(rng.integers(5, 12))), (0.2, 1.0, 5.0), (4,))
                  for _ in range(4)]
         assert self._check(monkeypatch, games) == 12
@@ -696,21 +697,35 @@ class TestCertifiedRows:
                 assert 0.0 < tau
                 assert w.tobytes() == (0.5 * (r + 1.0 / gain)).tobytes()
 
-    def test_single_defender_solves_make_no_small_inverses(self, rng, monkeypatch):
-        # f = 1 rows come from R alone; only f >= 2 rows take an f x f inverse per row
+    def test_law2_solves_make_no_small_inverses(self, rng, monkeypatch):
+        # every law-2 row comes from R: f = 1 reads it, f >= 2 downdates it, with no f x f inverse
         g = random_connected_graph(rng, 12)
         gains = [0.2, 1.0, 5.0]
-        expected = {f: [solve(exact_game(g, gain, f, LAW2)) for gain in gains] for f in (1, 2)}
+        budgets = (1, 2, 3, 4)
+        expected = {f: [solve(exact_game(g, gain, f, LAW2)) for gain in gains] for f in budgets}
         shapes = []
         inv = np.linalg.inv
-        monkeypatch.setattr(game_module.np.linalg, "inv", lambda a: shapes.append(a.shape[1:]) or inv(a))
-        assert [solve(build_matrix(g, gain, 1, LAW2)) for gain in gains] == expected[1]
-        rows = sweep_gain(g, 1, LAW2, gains)
-        assert [(r.kind, r.defender_set, r.attacker_set, r.value) for r in rows] == [
-            (e.kind, e.defender_set, e.attacker_set, e.value) for e in expected[1]]
+        monkeypatch.setattr(game_module.np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+        for f in budgets:
+            assert [solve(build_matrix(g, gain, f, LAW2)) for gain in gains] == expected[f]
+            rows = sweep_gain(g, f, LAW2, gains)
+            assert [(r.kind, r.defender_set, r.attacker_set, r.value) for r in rows] == [
+                (e.kind, e.defender_set, e.attacker_set, e.value) for e in expected[f]]
         assert shapes == []
-        assert solve(build_matrix(g, 1.0, 2, LAW2)) == expected[2][1]
-        assert shapes and set(shapes) == {(2, 2)}
+
+    def test_spread_weights_with_most_nodes_defended(self, monkeypatch):
+        # n = 4-9, f = n - 1 or n - 2, weights 10^U(-6, 6) and gains 10^U(0, 8):
+        # f x f Woodbury inverses missed τ/8 by up to 264 τ on these games and
+        # reported wrong Stackelberg rows; the downdates stay within it
+        rng = np.random.default_rng(5)
+        games = []
+        for _ in range(300):
+            n = int(rng.integers(4, 10))
+            f = n - 1 - int(rng.integers(0, 2))
+            base = random_connected_graph(rng, n)
+            g = Graph(n, tuple((i, j, float(10.0 ** rng.uniform(-6, 6))) for i, j, _ in base.edges))
+            games.append((g, (float(10.0 ** rng.uniform(0, 8)),), (f,)))
+        assert self._check(monkeypatch, games) == 300
 
     def test_non_finite_low_rank_table_falls_back_to_exact_rows(self, rng, monkeypatch):
         g = random_connected_graph(rng, 9)
@@ -721,6 +736,15 @@ class TestCertifiedRows:
             w, tau = m.approx
             assert tau == 0.0 and w is m.rows
             assert (solve(m), predict_equilibrium(m)) == answers
+
+    def test_overflowing_rows_are_not_finite_without_warnings(self):
+        # at gain 1e-160 the squared downdate columns overflow: τ is inf, so
+        # `approx` falls back to the exact rows, and nothing reaches stderr
+        g = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, tau = game_module._low_rank_rows(game_module._shifted(g), 1e-160, SubsetIndex(4, 2).subsets)
+        assert tau == math.inf
 
     def test_law2_sweep_inverts_g_once(self, rng, monkeypatch):
         g = random_connected_graph(rng, 9)

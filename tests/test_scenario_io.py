@@ -143,14 +143,14 @@ def _read_text_reference(path):
                 raise GraphError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
             return parse_graph_json(obj)
         return parse_graph_text(text)
-    except (GraphError, UnicodeDecodeError) as exc:
+    except GraphError as exc:
         return type(exc), str(exc)
 
 
 def _loaded(path):
     try:
         return load_graph(path)
-    except (GraphError, UnicodeDecodeError) as exc:
+    except GraphError as exc:
         return type(exc), str(exc)
 
 
@@ -195,15 +195,15 @@ class TestGraphFileBytes:
         assert load_graph(path) == path_graph(20_000)
 
     @pytest.mark.parametrize("data", [b"0 1\n1 \xff2\n", b"\xef\xbb\xbf0 1\n", b'{"n": 2, "edges": [[0, 1, "\xe9"]]}'])
-    def test_bytes_outside_the_locale_encoding_raise_as_read_text(self, tmp_path, data):
+    def test_bytes_outside_the_locale_encoding_are_a_config_error_naming_the_path(self, tmp_path, data):
         path = tmp_path / "graph.txt"
         path.write_bytes(data)
         try:
             path.read_text()
         except UnicodeDecodeError as exc:
-            with pytest.raises(UnicodeDecodeError) as raised:
+            with pytest.raises(ConfigError) as raised:
                 load_graph(path)
-            assert raised.value.args == exc.args
+            assert str(raised.value) == f"cannot read {path}: {exc}"
         else:  # the UTF-8 BOM decodes to U+FEFF, which parse_graph_text rejects
             assert _loaded(path) == _read_text_reference(path)
 

@@ -20,6 +20,7 @@ def test_suites_are_the_check_functions_in_order():
         "payoff-structure",
         "attack-monotonicity",
         "center-predictions",
+        "certified-rows",
     ]
 
 
