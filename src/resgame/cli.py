@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
     argparse exits 2, which this CLI reserves for computation errors.
     Subparsers are created with the parser's own class, so they inherit
     this. `build_parser` sets the top parser's `commands`: each command's
-    subparser, by name.
+    subparser, by name, whose `run` default is the command's `cmd_` function.
     """
 
     commands: dict[str, argparse.ArgumentParser]
@@ -81,9 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices
 
     p = sub.add_parser("centrality", help="degrees, center, and effective center")
+    p.set_defaults(run=cmd_centrality)
     _add_common(p)
 
     p = sub.add_parser("h2", help="squared H2 norm of one attacked scenario")
+    p.set_defaults(run=cmd_h2)
     _add_common(p, graph_required=False)
     p.add_argument("--config", default=None, help="scenario JSON file (alternative to flags)")
     p.add_argument("--law", type=int, default=None, choices=[1, 2])
@@ -93,24 +95,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="cross-check against the energy-integration oracle")
 
     p = sub.add_parser("matrix", help="full payoff matrix over f-subsets")
+    p.set_defaults(run=cmd_matrix)
     _add_common(p, csv=True)
     p.add_argument("--law", type=int, required=True, choices=[1, 2])
     p.add_argument("--gain", type=float, required=True)
     p.add_argument("--f", type=int, required=True)
 
     p = sub.add_parser("solve", help="pure NE if present, else defender-led Stackelberg")
+    p.set_defaults(run=cmd_solve)
     _add_common(p)
     p.add_argument("--law", type=int, required=True, choices=[1, 2])
     p.add_argument("--gain", type=float, required=True)
     p.add_argument("--f", type=int, required=True)
 
     p = sub.add_parser("sweep", help="solve the game on a grid of gains")
+    p.set_defaults(run=cmd_sweep)
     _add_common(p, csv=True)
     p.add_argument("--law", type=int, required=True, choices=[1, 2])
     p.add_argument("--gains", required=True, help="comma-separated gain grid")
     p.add_argument("--f", type=int, required=True)
 
     p = sub.add_parser("verify", help="run the seeded invariant suites")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=15)
     p.add_argument("--nmax", type=int, default=8)
@@ -256,16 +262,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
-_COMMANDS = {
-    "centrality": cmd_centrality,
-    "h2": cmd_h2,
-    "matrix": cmd_matrix,
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
     """build_parser().parse_args(argv), with a command's words handed straight to its subparser.
 
@@ -296,7 +292,7 @@ def main(argv=None) -> int:
         # checked before any work, so a usage error never waits on a computation
         if getattr(args, "fmt", None) == "csv" and not args.out:
             raise ConfigError(f"{args.command} --format csv requires --out PATH")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (GraphError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -288,8 +288,10 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarr
 
 
 _UNIT_ROUNDOFF = 2.0**-53
-# Bytes per chunk of `_low_rank_rows`' rows and of each downdate column (64 KB ran 15% slower at f = 5)
-_CHUNK_BYTES = 1 << 17
+# Payoff cells computed at once when column minima are built in blocks (with
+# f = 2, 256 KB of gathered W entries), and floats per chunk of `_low_rank_rows`'
+# rows and of each downdate column: 128 KB (64 KB ran 15% slower at f = 5).
+_BLOCK_CELLS = 1 << 14
 
 
 def _shifted(g: Graph) -> tuple[float, np.ndarray] | None:
@@ -330,7 +332,7 @@ def _low_rank_rows(shifted: tuple, gain: float, defender_sets: np.ndarray) -> tu
     n, k = len(r), 1.0 / gain
     c_hat = (2.0 * d_max + gain) * n * (k + float(r.max()))
     w = np.empty((len(defender_sets), n))
-    step = max(1, _CHUNK_BYTES // (8 * n))
+    step = max(1, _BLOCK_CELLS // n)
     for lo in range(0, len(w), step):
         sets = defender_sets[lo : lo + step]
         diag, at, first = w[lo : lo + step], np.arange(len(sets)), sets[:, 0]
@@ -352,9 +354,6 @@ def _low_rank_rows(shifted: tuple, gain: float, defender_sets: np.ndarray) -> tu
     return w, 8.0 * n * _UNIT_ROUNDOFF * c_hat * float(np.abs(w).max())
 
 
-# Payoff cells computed at once when column minima are built in blocks:
-# with f = 2, 256 KB of gathered W entries.
-_BLOCK_CELLS = 1 << 14
 # Payoff cells per block of `GameMatrix.cell_blocks`, which the writer's
 # shortest-repr kernel takes whole: its text buffer, 32 bytes a cell, and
 # the f = 2 gathered W entries then stay below glibc's 128 KiB mmap
@@ -424,7 +423,14 @@ def find_nash(m: GameMatrix) -> tuple[int, int, float] | None:
     settled by the exact cells of the rows it cannot tell from upper.
     No N x N matrix is built: memory is O(N n), and time is O(N n) unless
     many candidates pass the filter and fail.
+
+    Law 2 with f = 1 on n >= 2 nodes has no saddle, by the paper's theorem,
+    so None, before any scan: cell (v, a) grows with R_va, so column a's
+    minimum is its own row's cell, as R_aa = 0, and no row's maximum is, as
+    R_vi > 0 for i != v. Rounded rows at small gains can tie the two.
     """
+    if m.law is ControlLaw.REL_VELOCITY and m.f == 1 < m.graph.n:
+        return None
     r0, cells = m.leader_row
     upper = cells.max()
     subsets = m.index.subsets
@@ -461,6 +467,11 @@ def nash_threshold(g: Graph, f: int = 1) -> float:
     return float((delta[f - 1] - delta[f]) / (delta[f] + 1.0))
 
 
+def _report(m: GameMatrix, kind: str, row: int, column: int, value: float) -> EquilibriumReport:
+    """The solvers' report: the defender and attacker sets of the cell (row, column) of m."""
+    return EquilibriumReport(kind, m.index.subset(row), m.index.subset(column), value)
+
+
 def stackelberg_defender_leader(m: GameMatrix) -> EquilibriumReport:
     """Defender commits to the row minimizing its worst column; ties by rank.
 
@@ -470,26 +481,13 @@ def stackelberg_defender_leader(m: GameMatrix) -> EquilibriumReport:
     """
     r0, cells = m.leader_row
     c = int(cells.argmax())
-    return EquilibriumReport(
-        kind="stackelberg_defender_leader",
-        defender_set=m.index.subset(r0),
-        attacker_set=m.index.subset(c),
-        value=float(cells[c]),
-    )
+    return _report(m, "stackelberg_defender_leader", r0, c, float(cells[c]))
 
 
 def solve(m: GameMatrix) -> EquilibriumReport:
     """Pure NE when one exists, otherwise the defender-led Stackelberg solution."""
     saddle = find_nash(m)
-    if saddle is not None:
-        r, c, v = saddle
-        return EquilibriumReport(
-            kind="nash",
-            defender_set=m.index.subset(r),
-            attacker_set=m.index.subset(c),
-            value=v,
-        )
-    return stackelberg_defender_leader(m)
+    return stackelberg_defender_leader(m) if saddle is None else _report(m, "nash", *saddle)
 
 
 def predict_equilibrium(m: GameMatrix) -> EquilibriumReport:

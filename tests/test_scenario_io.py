@@ -165,7 +165,7 @@ _LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r", "cr-crlf": "\r\r\n"}
 
 
 class TestGraphFileBytes:
-    """load_graph reads bytes with os.read and decodes them as Path.read_text did."""
+    """load_graph reads bytes in one unbuffered read and decodes them as Path.read_text did."""
 
     @pytest.mark.parametrize("end", list(_LINE_ENDS))
     @pytest.mark.parametrize("kind", list(_LINES))
@@ -301,6 +301,30 @@ class TestReports:
                 for rec in csv.DictReader(fh)
             ]
         assert read == rows
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.builds(
+        SweepRow,
+        kappa=st.floats(),
+        kind=st.sampled_from(["nash", "stackelberg_defender_leader"]),
+        defender_set=st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True).map(sorted).map(tuple),
+        attacker_set=st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True).map(sorted).map(tuple),
+        value=st.floats(),
+    ), max_size=5))
+    @example([SweepRow(1e-05, "nash", (0, 1), (0, 1), 1e16),
+              SweepRow(5e-324, "stackelberg_defender_leader", (3,), (12, 40, 999), 0.5),
+              SweepRow(1e16, "nash", (2,), (2,), 1.5e-310)])
+    def test_sweep_csv_bytes_equal_csv_writer(self, tmp_path_factory, rows):
+        # the rows are joined by hand: no repr of a float, node list or kind holds a character csv.writer quotes
+        path = tmp_path_factory.getbasetemp() / "sweep.csv"  # rewritten by each example
+        write_sweep_csv(rows, path)
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(["kappa", "defender", "attacker", "value", "kind"])
+        for r in rows:
+            writer.writerow([repr(r.kappa), "+".join(map(str, r.defender_set)),
+                             "+".join(map(str, r.attacker_set)), repr(r.value), r.kind])
+        assert path.read_bytes() == text.getvalue().encode()
 
     def test_matrix_csv_headers(self, tmp_path):
         m = build_matrix(path_graph(3), 0.5, 1, ControlLaw.ABS_VELOCITY)

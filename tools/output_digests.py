@@ -10,8 +10,19 @@ diff:
     python3 <other checkout>/tools/output_digests.py --seeds 0-10 > before.txt
     diff before.txt after.txt
 
-`--workloads sweep-law1,solve-law2` runs only those workloads, in the
-order of benchmarks/workloads.py, so checking one takes seconds.
+After the four workloads, each seed runs `other-commands`: the commands
+and options no workload runs, on that seed's workload graphs. They are
+`centrality` on each solve-law2 graph; a law-2 `sweep` at gains 0.5,1,2,
+in JSON and in CSV, on the first f = 1 and the first f = 2 solve-law2
+graph; a law-1 `solve --f 2` on each export-matrix graph, at its task's
+gain; and `h2 --config` for each h2-oracle task, with the task's scenario
+in a config file that names its graph file.
+
+`--workloads sweep-law1,solve-law2` runs only those groups, in the order
+of benchmarks/workloads.py and then `other-commands`, so checking one
+takes seconds; `--workloads
+solve-law2,sweep-law1,h2-oracle,export-matrix` prints the lines of the
+benchmark's tasks alone.
 
 Each task that succeeds is then run a second time into the same path,
 after junk has been appended to its output so that the old file is
@@ -35,6 +46,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -42,6 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 JUNK = b"\0junk past the end of the first output\n" * 100
+OTHER = "other-commands"
 
 
 def _digest(path: Path, code: int) -> str:
@@ -64,11 +77,37 @@ def _seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def _other_commands(workloads, seed: int, inputs: Path) -> list[tuple[str, list[str], str]]:
+    """(id, argv without --out, output suffix) of each command no workload runs, on the seed's graphs."""
+    graphs = {}
+    for name in ("solve-law2", "export-matrix", "h2-oracle"):
+        task_list = workloads.tasks(name, seed)
+        graphs[name] = list(zip(task_list, workloads.write_inputs(task_list, inputs / name)))
+    runs = [(f"centrality-{task.id}", ["centrality", "--graph", str(graph)], ".json")
+            for task, graph in graphs["solve-law2"]]
+    for f in (1, 2):
+        task, graph = next((task, graph) for task, graph in graphs["solve-law2"] if task.meta["f"] == f)
+        for fmt in ("json", "csv"):
+            argv = ["sweep", "--graph", str(graph), "--law", "2", "--f", str(f), "--gains", "0.5,1,2", "--format", fmt]
+            runs.append((f"sweep-law2-{fmt}-{task.id}", argv, "." + fmt))
+    for task, graph in graphs["export-matrix"]:
+        gain = workloads._gain_arg(task.meta["gains"][0])
+        runs.append((f"solve-law1-f2-{task.id}", ["solve", "--graph", str(graph), "--law", "1",
+                                                   "--gain", gain, "--f", "2"], ".json"))
+    for task, graph in graphs["h2-oracle"]:
+        config = graph.with_name(task.id + ".config.json")
+        scenario = {"graph": graph.name, "law": task.meta["law"], "gain": task.meta["gains"][0],
+                    "defense": task.meta["defense"], "attack": task.meta["attack"]}
+        config.write_text(json.dumps(scenario) + "\n")
+        runs.append((f"h2-config-{task.id}", ["h2", "--config", str(config), "--oracle"], ".json"))
+    return runs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seeds, default=[0], help='e.g. "0-10" or "1,4,7"')
     parser.add_argument("--workloads", type=lambda text: text.split(","), default=None,
-                        help='e.g. "sweep-law1,solve-law2" (default: all four)')
+                        help='e.g. "sweep-law1,solve-law2" (default: the four workloads and other-commands)')
     args = parser.parse_args()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # before NumPy loads BLAS
@@ -76,32 +115,37 @@ def main() -> int:
     from benchmarks import workloads
     from resgame.cli import main as resgame_main
 
-    chosen = workloads.WORKLOADS if args.workloads is None else args.workloads
-    unknown = sorted(set(chosen) - set(workloads.WORKLOADS))
+    groups = (*workloads.WORKLOADS, OTHER)
+    chosen = groups if args.workloads is None else args.workloads
+    unknown = sorted(set(chosen) - set(groups))
     if unknown:
-        parser.error(f"unknown workloads {unknown}; choose from {list(workloads.WORKLOADS)}")
+        parser.error(f"unknown workloads {unknown}; choose from {list(groups)}")
     mismatched, unlike_stdout = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
-            for name in (name for name in workloads.WORKLOADS if name in chosen):
-                task_list = workloads.tasks(name, seed)
+            for name in (name for name in groups if name in chosen):
                 work = Path(tmp) / f"{name}-{seed}"
                 (work / "out").mkdir(parents=True)  # apart from the inputs, which share the task ids
-                for task, graph in zip(task_list, workloads.write_inputs(task_list, work / "inputs")):
-                    out = work / "out" / (task.id + task.out_suffix)
-                    code = resgame_main(task.argv(graph, out))
+                if name == OTHER:
+                    runs = _other_commands(workloads, seed, work / "inputs")
+                else:
+                    task_list = workloads.tasks(name, seed)
+                    inputs = workloads.write_inputs(task_list, work / "inputs")
+                    runs = [(task.id, task.argv(graph, Path())[:-2], task.out_suffix)  # without --out
+                            for task, graph in zip(task_list, inputs)]
+                for run_id, argv, suffix in runs:
+                    out = work / "out" / (run_id + suffix)
+                    code = resgame_main([*argv, "--out", str(out)])
                     digest = _digest(out, code)
-                    print(seed, task.id, digest, flush=True)
+                    print(seed, run_id, digest, flush=True)
                     if code != 0:
                         continue
-                    if task.out_suffix == ".json":
-                        argv = task.argv(graph, out)[:-2]  # without its trailing --out PATH
-                        if _stdout(resgame_main, argv) != out.read_bytes():
-                            unlike_stdout.append(f"{seed} {task.id}")
+                    if suffix == ".json" and _stdout(resgame_main, argv) != out.read_bytes():
+                        unlike_stdout.append(f"{seed} {run_id}")
                     with open(out, "ab") as fh:
                         fh.write(JUNK)
-                    if _digest(out, resgame_main(task.argv(graph, out))) != digest:
-                        mismatched.append(f"{seed} {task.id}")
+                    if _digest(out, resgame_main([*argv, "--out", str(out)])) != digest:
+                        mismatched.append(f"{seed} {run_id}")
     for task in mismatched:
         print(f"overwrite changed the output of {task}", file=sys.stderr)
     for task in unlike_stdout:
