@@ -20,7 +20,8 @@ import numpy as np
 from .dynamics import ControlLaw, Scenario, _cells
 from .errors import ConfigError, EnumerationLimitError
 from .graphcore import Graph, checked_gain, degrees, integer, near_minima
-from .resistance import GroundedSystem, grounded_inverse_diag, resistance_matrix, shifted_inverse
+from .resistance import grounded_inverse_diags, resistance_matrix, shifted_inverse
+from .resistance import grounded_inverse_diag  # unused here; benchmarks/tracing.py wraps game.grounded_inverse_diag
 
 DEFAULT_ENUM_CAP = 10_000
 ENUM_CAP_ENV = "RESGAME_ENUM_CAP"
@@ -280,9 +281,7 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarr
         w = np.tile(c, (len(defender_sets), 1))
         w[np.arange(len(defender_sets))[:, None], defender_sets] = c_hat[defender_sets]
         return w
-    w = np.empty((len(defender_sets), g.n))
-    for r, sub in enumerate(defender_sets.tolist()):
-        w[r] = grounded_inverse_diag(GroundedSystem(g, sub, gain))
+    w = grounded_inverse_diags(g, gain, defender_sets.tolist())
     w *= 0.5
     return w
 

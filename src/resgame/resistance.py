@@ -42,8 +42,8 @@ def laplacian_pinv(g: Graph) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def _cholesky_inverse(a: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
-    """A⁻¹ for a fresh symmetric array A by LAPACK potrf/potrs; raises `error` if potrf fails.
+def _cholesky_inverse(a: np.ndarray, eye: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
+    """A⁻¹ for a symmetric C-ordered array A by LAPACK potrf/potrs, over `eye`, the identity; raises `error` if potrf fails.
 
     With cho_factor/cho_solve's flags, so bit-identical to theirs, without
     their per-call finite and shape checks. A and the identity are
@@ -54,7 +54,7 @@ def _cholesky_inverse(a: np.ndarray, error: type[Exception], what: str) -> np.nd
     factor, info = potrf(a.T, lower=False, overwrite_a=True, clean=False)
     if info != 0:
         raise error(f"{what} factorization failed: LAPACK potrf info={info}")
-    inv, _ = potrs(factor, np.eye(len(a)).T, lower=False, overwrite_b=True)
+    inv, _ = potrs(factor, eye.T, lower=False, overwrite_b=True)
     return inv.T
 
 
@@ -73,7 +73,7 @@ def shifted_inverse(g: Graph, a: float) -> np.ndarray:
     """
     shifted = laplacian(g)
     shifted += a / g.n
-    return _cholesky_inverse(shifted, np.linalg.LinAlgError, "shifted Laplacian")
+    return _cholesky_inverse(shifted, np.eye(g.n), np.linalg.LinAlgError, "shifted Laplacian")
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
@@ -117,10 +117,27 @@ def grounded_inverse_diag(gs: GroundedSystem) -> np.ndarray:
     small that L + kappa P_D does not factor in floating point is a
     ConvergenceError (path_graph(30) at kappa = 1e-16).
     """
-    lbar = laplacian(gs.base)
-    for i in gs.defense_set:  # for f of a few nodes, 8x faster than a fancy-indexed add
-        lbar[i, i] += gs.gain
-    return _cholesky_inverse(lbar, ConvergenceError, "grounded Laplacian").diagonal().copy()
+    return grounded_inverse_diags(gs.base, gs.gain, [gs.defense_set])[0]
+
+
+def grounded_inverse_diags(g: Graph, gain: float, defender_sets) -> np.ndarray:
+    """`grounded_inverse_diag` for each defender set D of a sequence, one row each, unchecked.
+
+    The sets and gain are taken as a `GroundedSystem` or a `SubsetIndex`
+    has checked them. Each row copies L into one reused n x n array, adds
+    the gain on D's diagonal and factors it into a second array refilled
+    with the identity: no array or object is made per row.
+    """
+    lap, n = g._laplacian, g.n
+    lbar, eye, identity = np.empty((n, n)), np.empty((n, n)), np.eye(n)
+    diags = np.empty((len(defender_sets), n))
+    for r, dset in enumerate(defender_sets):
+        np.copyto(lbar, lap)
+        for i in dset:  # for f of a few nodes, 8x faster than a fancy-indexed add
+            lbar[i, i] += gain
+        np.copyto(eye, identity)
+        diags[r] = _cholesky_inverse(lbar, eye, ConvergenceError, "grounded Laplacian").diagonal()
+    return diags
 
 
 def extended_graph(g: Graph, defense_set, gain: float) -> Graph:

@@ -12,14 +12,14 @@ join to the text of json.dumps(report, indent=2, sort_keys=True)
 ndarray, a payoff matrix as its row blocks from `GameMatrix.cell_blocks`,
 and each is written a block of rows at a time, in JSON and in CSV. A
 matrix whose first row repeats its values, as every law-1 payoff matrix
-does, has each distinct value formatted once; any other float matrix has
-its entries written by a vectorised shortest-repr kernel wherever repr
-writes fixed notation.
+does, has each distinct value formatted once, up to _KERNEL_CELLS of
+them; any other float matrix, and the rest of one with more, has its
+entries written by the vectorised kernel of `shortest_repr` wherever
+repr writes fixed notation.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import locale
@@ -36,6 +36,7 @@ from .dynamics import Scenario
 from .errors import ConfigError, GraphError
 from .game import _KERNEL_CELLS, GameMatrix, SweepRow
 from .graphcore import Graph, _edge_entry, integer, real
+from .shortest_repr import _fixed_text, _in_fixed_range
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -213,161 +214,89 @@ def _row_blocks(matrix: np.ndarray):
     return (matrix[lo : lo + step] for lo in range(0, len(matrix), step))
 
 
+# Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): a bit pattern's home slot in
+# a table of 2^b slots is the top b bits of the pattern times 2^64/phi.
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+_MAX_SLOTS = 1 << (2 * _KERNEL_CELLS - 1).bit_length()  # load at most 1/2 at _KERNEL_CELLS keys
+
+
+def _homes(bits: np.ndarray, size: int) -> np.ndarray:
+    """Each bit pattern's home slot in a table of `size` slots, a power of two of at least 2."""
+    slots = np.multiply(bits, _FIBONACCI, dtype=np.uint64)
+    slots >>= np.uint64(65 - size.bit_length())
+    return slots.view(np.int64)
+
+
+def _table(keys: np.ndarray, words: list[bytes], size: int):
+    """(table, texts, spill): distinct bit patterns `keys` with their texts `words`, for `_distinct_marked`.
+
+    The table has at least `size` slots and twice as many as keys, and is
+    doubled while two keys share a home, up to _MAX_SLOTS. Each key whose
+    home it got is there; the rest are `spill`, sorted. texts holds the
+    texts of the table's keys at their slots, then those of `spill`. An
+    empty slot holds a pattern whose home is another slot: 0 (home 0),
+    and 1 in slot 0.
+    """
+    while size < 2 * len(keys):
+        size *= 2
+    while True:
+        homes = _homes(keys, size)
+        table = np.zeros(size, keys.dtype)
+        table[0] = 1
+        table[homes] = keys
+        placed = table.take(homes) == keys  # one key of those sharing a home was written last
+        if placed.all() or size >= _MAX_SLOTS:
+            break
+        size *= 2
+    spill = np.flatnonzero(~placed)
+    spill = spill[np.argsort(keys[spill])]
+    words = np.array(words, object)
+    texts = np.empty(size + len(spill), object)
+    texts[homes[placed]] = words[placed]
+    texts[size:] = words[spill]
+    return table, texts, keys[spill]
+
+
 def _distinct_marked(blocks, sep: bytes, fmt):
     """`_marked` for row blocks whose values repeat: each distinct value is formatted once, when first seen.
 
-    The distinct bit patterns seen so far are kept sorted with their texts,
-    and each row's texts are taken from theirs by searchsorted. So this
-    needs O(N + k) memory for N columns and k distinct values, in one
-    pass. For matrices that pass `_repeats`; others are faster formatted
-    entry by entry.
+    The distinct bit patterns seen so far are kept with their texts in a
+    hash table (`_table`), so a block's texts are one lookup of its
+    cells' home slots, and a search of the few patterns that lost their
+    home for the cells not found there. Only a block with a pattern not
+    seen before has its new patterns formatted and the table rebuilt. It
+    holds at most _KERNEL_CELLS patterns: a block that would bring more
+    ends this generator, whose return value is the blocks left, from that
+    one on, for `_entry_marked`, as in a matrix without repeats. So this
+    needs O(N) memory for N columns, in one pass. For matrices that pass
+    `_repeats`.
     """
-    keys = np.empty(0, np.uint64)
-    texts = np.empty(0, object)
+    blocks = iter(blocks)
+    table = None
     for block in blocks:
-        bits = _bits(block)
-        at = np.searchsorted(keys, bits)
-        if not (len(keys) and (keys.take(at, mode="clip") == bits).all()):
-            new = np.setdiff1d(bits, keys)
-            fresh = [fmt(x).encode() for x in new.view(block.dtype).tolist()]
-            where = np.searchsorted(keys, new)
-            keys, texts = np.insert(keys, where, new), np.insert(texts, where, fresh)
-            at = np.searchsorted(keys, bits)
-        yield b"".join([b";" + sep.join(row) for row in texts[at].tolist()])
-
-
-_U = np.uint64
-_LOW32 = _U(0xFFFFFFFF)
-
-
-@functools.cache
-def _repr_tables():
-    """The shortest-repr kernel's lookup tables, built on its first use.
-
-    5^j for j = 0..20; the 4 ASCII digits of each q < 10^4, packed
-    little-endian; the index of q's last nonzero digit (-99 for q = 0); and,
-    for each of the 3 words of a 24-digit string, the masks that keep its
-    digits lo..hi (entry 24 * lo + hi) and the words with a '.' at byte u.
-    """
-    pow5 = np.array([5**j for j in range(21)], dtype=_U)
-    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    last = np.where(digits.any(1), 3 - np.argmax(digits[:, ::-1] != 0, axis=1), -99).astype(np.int8)
-    quads = (digits + ord("0")).astype(np.uint8).view("<u4")[:, 0].astype(_U)
-    j = np.arange(24)
-    keep = (j[:, None, None] <= j) & (j <= j[None, :, None])  # [lo, hi, j]: lo <= j <= hi
-    masks = (255 * keep).astype(np.uint8).reshape(576, 3, 8).view("<u8")[..., 0].astype(_U)
-    dots = (ord(".") * (j[:, None] == j)).astype(np.uint8).reshape(24, 3, 8).view("<u8")[..., 0].astype(_U)
-    return pow5, quads, last, masks.T.copy(), dots.T.copy()
-
-
-def _in_fixed_range(block: np.ndarray) -> bool:
-    """Whether every entry is finite and 1e-4 <= |x| < 1e16: the floats repr writes in fixed notation."""
-    magnitude = np.abs(block, dtype=np.float64)
-    return bool(((magnitude >= 1e-4) & (magnitude < 1e16)).all())
-
-
-def _product(a: np.ndarray, b: np.ndarray):
-    """(low, high): the 64-bit limbs of a * b, for a < 2^56 and b < 2^47, from 32-bit halves."""
-    a1, a0, b1, b0 = a >> _U(32), a & _LOW32, b >> _U(32), b & _LOW32
-    low = a0 * b0
-    mid = a0 * b1 + a1 * b0 + (low >> _U(32))
-    return mid << _U(32) | low & _LOW32, a1 * b1 + (mid >> _U(32))
-
-
-def _interval(bits: np.ndarray):
-    """(lower, vb, upper, k) for floats x = +-c * 2^q with 1e-4 <= |x| < 1e16, from their bits.
-
-    k = floor(log10(2^q)), or of 3/4 * 2^q at a power of two, where the
-    gap below x is half the gap above. k lies in [-20, 0], so 10^-k is an
-    integer, and x and the ends of its rounding interval, times 4 * 10^-k,
-    are computed exactly, in two 64-bit limbs, and rounded to odd: vb, and
-    lower and upper, moved in by one when c is odd, since x's neighbours
-    then round to even and the interval is open.
-    """
-    c = bits & _U((1 << 52) - 1)
-    closer = c == 0
-    c |= _U(1 << 52)
-    q = (bits >> _U(52) & _U(0x7FF)).view(np.int64) - 1075
-    k = (q * 1262611 - closer * 524031) >> 22
-    p = _repr_tables()[0].take(-k)
-    shift = (k + 1 - q).view(_U)  # 4c * 2^q * 10^-k = (8c * 5^-k) >> shift, shift in [0, 47]
-    back = _U(64) - shift
-    lo, hi = _product(c << _U(3), p)
-
-    def round_to_odd(lo, hi):
-        return lo >> shift | hi << back | (lo << back != 0)
-
-    odd = c & _U(1)
-    step = p << _U(2)
-    up = lo + step
-    upper = round_to_odd(up, hi + (up < step)) - odd
-    step -= (p << _U(1)) * closer
-    lower = round_to_odd(lo - step, hi - (lo < step)) + odd
-    return lower, round_to_odd(lo, hi), upper, k
-
-
-def _shortest(bits: np.ndarray):
-    """(d, k): the shortest decimal d * 10^k that reads back as each float64, as float.__repr__ picks it.
-
-    Schubfach (Giulietti, "The Schubfach way to render doubles", 2020; cf.
-    Adams, "Ryu", PLDI 2018), for the bits of floats with 1e-4 <= |x| < 1e16.
-    Of the decimals in x's rounding interval, the one of length 10^(k+1),
-    if there is one, is the shortest; otherwise the nearer of the two of
-    length 10^k, ties to even. d < 10^17 and k lies in [-20, -1]: d * 10^0
-    is written (10d) * 10^-1.
-    """
-    lower, vb, upper, k = _interval(bits)
-    s = vb >> _U(2)
-    u_in, w_in = lower <= s << _U(2), (s << _U(2)) + _U(4) <= upper
-    half = (s << _U(2)) + _U(2)
-    d = s + np.where(u_in != w_in, w_in, (vb > half) | (vb == half) & (s & _U(1) != 0))
-    s //= _U(10)
-    u_in, w_in = lower <= s * _U(40), s * _U(40) + _U(40) <= upper
-    d = np.where(u_in != w_in, (s + w_in) * _U(10), d)
-    top = k == 0
-    return np.where(top, d * _U(10), d), k - top
-
-
-def _digit_words(d: np.ndarray):
-    """(words, end): d as 24 ASCII digits in 3 little-endian words, and the index of its last nonzero digit."""
-    _, quads, last, _, _ = _repr_tables()
-    q = []  # d's digits 20-23, 16-19, 12-15, 8-11 and 4-7, each read as a number below 10^4
-    for _ in range(5):
-        rest = d // _U(10_000)
-        q.append((d - rest * _U(10_000)).view(np.int64))
-        d = rest
-    end = np.maximum.reduce([last.take(x) + np.int8(20 - 4 * i) for i, x in enumerate(q)])
-    text = [quads.take(x) for x in q]
-    return (quads[0] | text[4] << _U(32), text[3] | text[2] << _U(32), text[1] | text[0] << _U(32)), end
-
-
-def _fixed_text(block: np.ndarray, sep: bytes) -> bytearray:
-    """The text of a 2-D float64 array that passes `_in_fixed_range`, with NULs among its bytes.
-
-    Each entry gets 32 bytes: its separator, or ';' before a row's first
-    entry, then its sign and the 24 digits of d, those up to the units digit
-    moved a byte down to make room for the '.'. Masks clear the digits
-    before the first significant or the units one and after the last
-    nonzero or the first fractional one, which leaves float.__repr__'s text.
-    """
-    _, _, _, masks, dots = _repr_tables()
-    bits = block.view(_U).ravel()
-    d, k = _shortest(bits)
-    unit = 23 + k  # the index of d's units digit among its 24
-    words, end = _digit_words(d)
-    whole = np.minimum(8 - (d >= _U(10**16)), unit) * 24 + unit  # d has 16 or 17 digits
-    fraction = (unit + 1) * 24 + np.maximum(end, unit + 1)
-    integer = [w & m.take(whole) for w, m in zip(words, masks)]
-    raw = bytearray(32 * len(bits))
-    out = np.frombuffer(raw, "<u8").reshape(-1, 4)
-    out[:, 0] = int.from_bytes(sep, "little")
-    out[:: block.shape[1], 0] = ord(";")
-    out[:, 1] = (words[0] & masks[0].take(fraction) | integer[0] >> _U(8) | integer[1] << _U(56)
-                 | dots[0].take(unit) | (bits >> _U(63)) * _U(0x2D00))
-    out[:, 2] = (words[1] & masks[1].take(fraction) | integer[1] >> _U(8) | integer[2] << _U(56)
-                 | dots[1].take(unit))
-    out[:, 3] = words[2] & masks[2].take(fraction) | integer[2] >> _U(8) | dots[2].take(unit)
-    return raw
+        bits = _bits(block).ravel()
+        if table is None:  # no pattern is at its home here
+            keys, words, table, spill = bits[:0], [], np.array([1, 0], bits.dtype), bits[:0]
+        slots = _homes(bits, len(table))
+        miss = np.flatnonzero(table.take(slots) != bits)
+        if len(miss):
+            missed = bits.take(miss)
+            at = np.searchsorted(spill, missed)
+            if not (len(spill) and (spill.take(at, mode="clip") == missed).all()):
+                new = np.setdiff1d(missed, keys)
+                if len(keys) + len(new) > _KERNEL_CELLS:
+                    return itertools.chain([block], blocks)
+                keys = np.concatenate([keys, new])
+                words += [fmt(x).encode() for x in new.view(block.dtype).tolist()]
+                size, table, texts = len(table), None, None  # the old table goes before the new one is laid
+                table, texts, spill = _table(keys, words, size)
+                slots = _homes(bits, len(table))
+                miss = np.flatnonzero(table.take(slots) != bits)
+                at = np.searchsorted(spill, bits.take(miss))
+            slots[miss] = len(table) + at
+        cells = texts.take(slots).reshape(block.shape)
+        yield b"".join([b";" + sep.join(row) for row in cells.tolist()])
+    return blocks
 
 
 def _entry_marked(block: np.ndarray, sep: bytes, fmt) -> bytes:
@@ -404,8 +333,7 @@ def _marked(blocks, sep: bytes, fmt):
         return
     blocks = itertools.chain([first], blocks)
     if _repeats(first):
-        yield from _distinct_marked(blocks, sep, fmt)
-        return
+        blocks = yield from _distinct_marked(blocks, sep, fmt)
     for block in blocks:
         yield _entry_marked(block, sep, fmt)
 

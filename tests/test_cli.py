@@ -431,7 +431,7 @@ def test_cli_import_leaves_verify_unloaded():
 _TABLES_CHILD = """
 import json, sys
 from resgame.cli import main
-from resgame.scenario_io import _repr_tables
+from resgame.shortest_repr import _repr_tables
 
 built = lambda: _repr_tables.cache_info().currsize > 0
 after_import = built()
@@ -554,15 +554,15 @@ class TestMatrixAndSolve:
         # the solver and the resistance-minimax prediction share one game, and
         # factor only the rows the low-rank table cannot settle
         calls = []
-        factor = game.grounded_inverse_diag
-        monkeypatch.setattr(game, "grounded_inverse_diag",
-                            lambda gs: calls.append(gs.defense_set) or factor(gs))
+        factor = game.grounded_inverse_diags
+        monkeypatch.setattr(game, "grounded_inverse_diags",
+                            lambda g, gain, sets: calls.extend(map(tuple, sets)) or factor(g, gain, sets))
         code, rep = run_json(capsys, ["solve", "--graph", clique_plus_path, "--law", "2",
                                       "--gain", "1", "--f", "2"])
         assert code == 0
         assert rep["prediction"]["theorem"] == "resistance-minimax"
         assert rep["prediction_match"] is True
-        assert len(calls) == len(set(calls)) < math.comb(11, 2)
+        assert 0 < len(calls) == len(set(calls)) < math.comb(11, 2)
 
     def test_prediction_match_is_relative_to_the_value(self, capsys, tmp_path):
         # law 2 at gain 1e-3 on a 10-node star: the center prediction is 501

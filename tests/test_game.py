@@ -7,6 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from resgame import (
     ConfigError,
@@ -35,6 +36,7 @@ from resgame.graphcore import (
     cycle_graph,
     degree_profile,
     degrees,
+    laplacian,
     path_graph,
     star_graph,
 )
@@ -253,6 +255,21 @@ class TestLaw2Rows:
             for gain in (1e-3, 0.7, 50.0):
                 rows = game_module._payoff_rows(g, gain, LAW2, sets)
                 assert np.array_equal(rows, self._per_row(g, gain, sets))
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("n", [26, 30])
+    def test_export_sized_rows_equal_scipy_cho_solve(self, rng, n, weighted):
+        # the sizes of the benchmark's law-2 exports, f = 2, against SciPy's own factor and solve
+        g = random_connected_graph(rng, n, weighted=weighted)
+        sets = SubsetIndex(n, 2).subsets
+        for gain in (1e-3, 0.7, 50.0):
+            expected = np.empty((len(sets), n))
+            for r, (a, b) in enumerate(sets.tolist()):
+                lbar = laplacian(g)
+                lbar[a, a] += gain
+                lbar[b, b] += gain
+                expected[r] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(lbar), np.eye(n)).diagonal()
+            assert np.array_equal(game_module._payoff_rows(g, gain, LAW2, sets), 0.5 * expected)
 
     def test_failed_factorization_mid_table_raises_the_rows_error(self):
         # at gain 3e-16 the 12-node path grounded at its end node 0 has no

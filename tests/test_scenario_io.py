@@ -32,11 +32,12 @@ from resgame.graphcore import complete_graph, path_graph
 from resgame.scenario_io import (
     _KERNEL_CELLS,
     _ROW_SEP,
+    _entry_marked,
     _fixed_text,
     _in_fixed_range,
     _marked,
     _repeats,
-    _repr_tables,
+    _row_blocks,
     graph_to_json,
     json_pieces,
     parse_graph_json,
@@ -47,6 +48,7 @@ from resgame.scenario_io import (
     write_matrix_csv,
     write_sweep_csv,
 )
+from resgame.shortest_repr import _repr_tables
 
 from conftest import random_connected_graph
 
@@ -656,6 +658,26 @@ class TestJsonRenderer:
         # beyond the array: one block's arrays and text and one row's text, not the ~100 MB report
         assert peak < 1_000_000
         assert size > 2016**2 * len(",\n      ")
+
+    def test_law2_matrix_with_a_repeating_first_row_bounds_its_table(self):
+        # law 2, f = 2 on node 0 with 20 leaves and a 20-node path from it: row 0 repeats the
+        # leaves' cells, but 57,308 of the 672,400 cells are distinct, more than the table holds
+        edges = [(0, i, 1.0) for i in range(1, 22)] + [(i, i + 1, 1.0) for i in range(21, 40)]
+        m = build_matrix(Graph(41, edges), 0.7, 2, ControlLaw.REL_VELOCITY)
+        report = {"law": 2, "gain": 0.7, "f": 2, "subsets": m.index.subsets, "values": m.values}
+        assert _repeats(m.values) and _in_fixed_range(m.values)
+        _repr_tables()
+        tracemalloc.start()
+        try:
+            size = sum(map(len, json_pieces(report)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the array: the table of at most _KERNEL_CELLS texts and one block's text
+        assert peak < 1_000_000
+        assert size > 820**2 * len(",\n      ")
+        marked = b"".join(_marked(_row_blocks(m.values), _ROW_SEP, json.dumps))
+        assert marked == b"".join(_entry_marked(block, _ROW_SEP, json.dumps) for block in _row_blocks(m.values))
 
 
 def _corpus() -> np.ndarray:

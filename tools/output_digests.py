@@ -15,8 +15,12 @@ and options no workload runs, on that seed's workload graphs. They are
 `centrality` on each solve-law2 graph; a law-2 `sweep` at gains 0.5,1,2,
 in JSON and in CSV, on the first f = 1 and the first f = 2 solve-law2
 graph; a law-1 `solve --f 2` on each export-matrix graph, at its task's
-gain; and `h2 --config` for each h2-oracle task, with the task's scenario
-in a config file that names its graph file.
+gain; law-2 `matrix --f 1` and `--f 3`, in JSON and in CSV, on the first
+export-matrix graph at its task's gain; a law-2 `matrix --f 2` on a copy
+of that graph with edge weights 10^U(-2, 2) (`random.Random` seeded by
+the seed) and on a hub-and-path graph (node 0 with 20 leaves and a
+20-node path, gain 0.7); and `h2 --config` for each h2-oracle task, with
+the task's scenario in a config file that names its graph file.
 
 `--workloads sweep-law1,solve-law2` runs only those groups, in the order
 of benchmarks/workloads.py and then `other-commands`, so checking one
@@ -48,6 +52,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -94,6 +99,20 @@ def _other_commands(workloads, seed: int, inputs: Path) -> list[tuple[str, list[
         gain = workloads._gain_arg(task.meta["gains"][0])
         runs.append((f"solve-law1-f2-{task.id}", ["solve", "--graph", str(graph), "--law", "1",
                                                    "--gain", gain, "--f", "2"], ".json"))
+    task, graph = graphs["export-matrix"][0]
+    gain = workloads._gain_arg(task.meta["gains"][0])
+    for f in (1, 3):
+        for fmt in ("json", "csv"):
+            argv = ["matrix", "--graph", str(graph), "--law", "2", "--gain", gain, "--f", str(f), "--format", fmt]
+            runs.append((f"matrix-law2-f{f}-{fmt}-{task.id}", argv, "." + fmt))
+    rng = random.Random(f"weighted/{seed}")
+    weighted = {"n": task.graph["n"], "edges": [[i, j, 10 ** rng.uniform(-2, 2)] for i, j in task.graph["edges"]]}
+    hub = {"n": 41, "edges": [[0, i] for i in range(1, 22)] + [[i, i + 1] for i in range(21, 40)]}
+    for name, obj, gain in (("weighted-" + task.id, weighted, gain), ("hub-and-path-n41", hub, "0.7")):
+        path = inputs / (name + ".json")
+        path.write_text(json.dumps(obj) + "\n")
+        runs.append((f"matrix-law2-f2-{name}", ["matrix", "--graph", str(path), "--law", "2", "--gain", gain,
+                                                 "--f", "2"], ".json"))
     for task, graph in graphs["h2-oracle"]:
         config = graph.with_name(task.id + ".config.json")
         scenario = {"graph": graph.name, "law": task.meta["law"], "gain": task.meta["gains"][0],
