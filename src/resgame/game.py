@@ -20,8 +20,7 @@ import numpy as np
 from .dynamics import ControlLaw, Scenario, _cells
 from .errors import ConfigError, EnumerationLimitError
 from .graphcore import Graph, checked_gain, degrees, integer, near_minima
-from .resistance import grounded_inverse_diags, resistance_matrix, shifted_inverse
-from .resistance import grounded_inverse_diag  # unused here; benchmarks/tracing.py wraps game.grounded_inverse_diag
+from .resistance import GroundedSystem, grounded_inverse_diag, resistance_matrix, shifted_inverse
 
 DEFAULT_ENUM_CAP = 10_000
 ENUM_CAP_ENV = "RESGAME_ENUM_CAP"
@@ -281,7 +280,10 @@ def _payoff_rows(g: Graph, gain: float, law: ControlLaw, defender_sets: np.ndarr
         w = np.tile(c, (len(defender_sets), 1))
         w[np.arange(len(defender_sets))[:, None], defender_sets] = c_hat[defender_sets]
         return w
-    w = grounded_inverse_diags(g, gain, defender_sets.tolist())
+    w = np.empty((len(defender_sets), g.n))
+    work = np.empty((g.n, g.n)), np.empty((g.n, g.n)), np.eye(g.n)
+    for r, sub in enumerate(map(tuple, defender_sets.tolist())):
+        w[r] = grounded_inverse_diag(GroundedSystem._checked(g, sub, gain), work)
     w *= 0.5
     return w
 
@@ -367,7 +369,7 @@ def _payoff(g: Graph, gain: float, law: ControlLaw, attack_set, defense_set) -> 
     The gain and node sets are checked as a `Scenario`'s, with its ConfigError.
     """
     s = Scenario(graph=g, law=law, gain=gain, defense_set=defense_set, attack_set=attack_set)
-    w = _payoff_rows(g, gain, law, np.array([s.defense_set], dtype=np.intp))[0]
+    w = _payoff_rows(g, s.gain, law, np.array([s.defense_set], dtype=np.intp))[0]
     return float(_cells(w[list(s.attack_set)], law))
 
 

@@ -109,35 +109,34 @@ class GroundedSystem:
         object.__setattr__(self, "defense_set", dset)
         object.__setattr__(self, "gain", checked_gain(self.gain))
 
+    @classmethod
+    def _checked(cls, base: Graph, defense_set: tuple[int, ...], gain: float) -> GroundedSystem:
+        """The system of a sorted defense set and a gain that are already checked, as a game's are, built without re-checking them."""
+        gs = object.__new__(cls)
+        gs.__dict__.update(base=base, defense_set=defense_set, gain=gain)
+        return gs
 
-def grounded_inverse_diag(gs: GroundedSystem) -> np.ndarray:
+
+def grounded_inverse_diag(gs: GroundedSystem, work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Diagonal of (L + kappa P_D)^{-1}; entry i is the resistance from i to the virtual node.
 
     Bit-identical to cho_solve(cho_factor(L + kappa P_D), I). A gain so
     small that L + kappa P_D does not factor in floating point is a
-    ConvergenceError (path_graph(30) at kappa = 1e-16).
+    ConvergenceError (path_graph(30) at kappa = 1e-16). `work`, three
+    n x n float64 arrays of which the last is the identity, holds
+    L + kappa P_D and the identity while they are factored; a caller that
+    factors many rows passes the same three to them all.
     """
-    return grounded_inverse_diags(gs.base, gs.gain, [gs.defense_set])[0]
-
-
-def grounded_inverse_diags(g: Graph, gain: float, defender_sets) -> np.ndarray:
-    """`grounded_inverse_diag` for each defender set D of a sequence, one row each, unchecked.
-
-    The sets and gain are taken as a `GroundedSystem` or a `SubsetIndex`
-    has checked them. Each row copies L into one reused n x n array, adds
-    the gain on D's diagonal and factors it into a second array refilled
-    with the identity: no array or object is made per row.
-    """
-    lap, n = g._laplacian, g.n
-    lbar, eye, identity = np.empty((n, n)), np.empty((n, n)), np.eye(n)
-    diags = np.empty((len(defender_sets), n))
-    for r, dset in enumerate(defender_sets):
+    lap = gs.base._laplacian
+    if work is None:
+        lbar, eye = lap.copy(), np.eye(len(lap))
+    else:
+        lbar, eye, identity = work
         np.copyto(lbar, lap)
-        for i in dset:  # for f of a few nodes, 8x faster than a fancy-indexed add
-            lbar[i, i] += gain
         np.copyto(eye, identity)
-        diags[r] = _cholesky_inverse(lbar, eye, ConvergenceError, "grounded Laplacian").diagonal()
-    return diags
+    for i in gs.defense_set:  # for f of a few nodes, 8x faster than a fancy-indexed add
+        lbar[i, i] += gs.gain
+    return _cholesky_inverse(lbar, eye, ConvergenceError, "grounded Laplacian").diagonal().copy()
 
 
 def extended_graph(g: Graph, defense_set, gain: float) -> Graph:

@@ -214,88 +214,31 @@ def _row_blocks(matrix: np.ndarray):
     return (matrix[lo : lo + step] for lo in range(0, len(matrix), step))
 
 
-# Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): a bit pattern's home slot in
-# a table of 2^b slots is the top b bits of the pattern times 2^64/phi.
-_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
-_MAX_SLOTS = 1 << (2 * _KERNEL_CELLS - 1).bit_length()  # load at most 1/2 at _KERNEL_CELLS keys
-
-
-def _homes(bits: np.ndarray, size: int) -> np.ndarray:
-    """Each bit pattern's home slot in a table of `size` slots, a power of two of at least 2."""
-    slots = np.multiply(bits, _FIBONACCI, dtype=np.uint64)
-    slots >>= np.uint64(65 - size.bit_length())
-    return slots.view(np.int64)
-
-
-def _table(keys: np.ndarray, words: list[bytes], size: int):
-    """(table, texts, spill): distinct bit patterns `keys` with their texts `words`, for `_distinct_marked`.
-
-    The table has at least `size` slots and twice as many as keys, and is
-    doubled while two keys share a home, up to _MAX_SLOTS. Each key whose
-    home it got is there; the rest are `spill`, sorted. texts holds the
-    texts of the table's keys at their slots, then those of `spill`. An
-    empty slot holds a pattern whose home is another slot: 0 (home 0),
-    and 1 in slot 0.
-    """
-    while size < 2 * len(keys):
-        size *= 2
-    while True:
-        homes = _homes(keys, size)
-        table = np.zeros(size, keys.dtype)
-        table[0] = 1
-        table[homes] = keys
-        placed = table.take(homes) == keys  # one key of those sharing a home was written last
-        if placed.all() or size >= _MAX_SLOTS:
-            break
-        size *= 2
-    spill = np.flatnonzero(~placed)
-    spill = spill[np.argsort(keys[spill])]
-    words = np.array(words, object)
-    texts = np.empty(size + len(spill), object)
-    texts[homes[placed]] = words[placed]
-    texts[size:] = words[spill]
-    return table, texts, keys[spill]
-
-
 def _distinct_marked(blocks, sep: bytes, fmt):
     """`_marked` for row blocks whose values repeat: each distinct value is formatted once, when first seen.
 
-    The distinct bit patterns seen so far are kept with their texts in a
-    hash table (`_table`), so a block's texts are one lookup of its
-    cells' home slots, and a search of the few patterns that lost their
-    home for the cells not found there. Only a block with a pattern not
-    seen before has its new patterns formatted and the table rebuilt. It
-    holds at most _KERNEL_CELLS patterns: a block that would bring more
-    ends this generator, whose return value is the blocks left, from that
-    one on, for `_entry_marked`, as in a matrix without repeats. So this
-    needs O(N) memory for N columns, in one pass. For matrices that pass
-    `_repeats`.
+    The distinct bit patterns seen so far are kept sorted with their texts,
+    and each row's texts are taken from theirs by searchsorted. It holds
+    at most _KERNEL_CELLS patterns: a block that would bring more ends this
+    generator, whose return value is the blocks left, from that one on,
+    for `_entry_marked`, as in a matrix without repeats. So this needs O(N)
+    memory for N columns, in one pass. For matrices that pass `_repeats`.
     """
     blocks = iter(blocks)
-    table = None
+    keys = np.empty(0, np.uint64)
+    texts = np.empty(0, object)
     for block in blocks:
-        bits = _bits(block).ravel()
-        if table is None:  # no pattern is at its home here
-            keys, words, table, spill = bits[:0], [], np.array([1, 0], bits.dtype), bits[:0]
-        slots = _homes(bits, len(table))
-        miss = np.flatnonzero(table.take(slots) != bits)
-        if len(miss):
-            missed = bits.take(miss)
-            at = np.searchsorted(spill, missed)
-            if not (len(spill) and (spill.take(at, mode="clip") == missed).all()):
-                new = np.setdiff1d(missed, keys)
-                if len(keys) + len(new) > _KERNEL_CELLS:
-                    return itertools.chain([block], blocks)
-                keys = np.concatenate([keys, new])
-                words += [fmt(x).encode() for x in new.view(block.dtype).tolist()]
-                size, table, texts = len(table), None, None  # the old table goes before the new one is laid
-                table, texts, spill = _table(keys, words, size)
-                slots = _homes(bits, len(table))
-                miss = np.flatnonzero(table.take(slots) != bits)
-                at = np.searchsorted(spill, bits.take(miss))
-            slots[miss] = len(table) + at
-        cells = texts.take(slots).reshape(block.shape)
-        yield b"".join([b";" + sep.join(row) for row in cells.tolist()])
+        bits = _bits(block)
+        at = np.searchsorted(keys, bits)
+        if not (len(keys) and (keys.take(at, mode="clip") == bits).all()):
+            new = np.setdiff1d(bits, keys)
+            if len(keys) + len(new) > _KERNEL_CELLS:
+                return itertools.chain([block], blocks)
+            fresh = [fmt(x).encode() for x in new.view(block.dtype).tolist()]
+            where = np.searchsorted(keys, new)
+            keys, texts = np.insert(keys, where, new), np.insert(texts, where, fresh)
+            at = np.searchsorted(keys, bits)
+        yield b"".join([b";" + sep.join(row) for row in texts[at].tolist()])
     return blocks
 
 

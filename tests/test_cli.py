@@ -554,9 +554,9 @@ class TestMatrixAndSolve:
         # the solver and the resistance-minimax prediction share one game, and
         # factor only the rows the low-rank table cannot settle
         calls = []
-        factor = game.grounded_inverse_diags
-        monkeypatch.setattr(game, "grounded_inverse_diags",
-                            lambda g, gain, sets: calls.extend(map(tuple, sets)) or factor(g, gain, sets))
+        factor = game.grounded_inverse_diag
+        monkeypatch.setattr(game, "grounded_inverse_diag",
+                            lambda gs, *work: calls.append(gs.defense_set) or factor(gs, *work))
         code, rep = run_json(capsys, ["solve", "--graph", clique_plus_path, "--law", "2",
                                       "--gain", "1", "--f", "2"])
         assert code == 0
