@@ -22,20 +22,19 @@ from .graphcore import degree_profile, eccentricities, near_minima
 from .resistance import effective_eccentricities
 
 
-def _parse_nodes(text: str | None) -> tuple[int, ...]:
-    if not text:
-        return ()
+def _parse_list(text: str, convert, what: str) -> list:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return [convert(tok) for tok in text.split(",")]
     except ValueError:
-        raise ConfigError(f"expected comma-separated node indices, got {text!r}")
+        raise ConfigError(f"expected comma-separated {what}, got {text!r}")
+
+
+def _parse_nodes(text: str | None) -> tuple[int, ...]:
+    return tuple(_parse_list(text, int, "node indices")) if text else ()
 
 
 def _parse_gains(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated gains, got {text!r}")
+    return _parse_list(text, float, "gains")
 
 
 def _emit_json(obj: dict, out: str | None) -> None:

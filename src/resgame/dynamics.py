@@ -192,9 +192,7 @@ def h2_closed_form(s: Scenario) -> H2Result:
         per_node = {i: float(position[i] + velocity[i]) for i in s.attack_set}
         constant = 0.0
     else:
-        gdiag = grounded_inverse_diag(
-            GroundedSystem(s.graph, s.defense_set, s.gain)
-        )
+        gdiag = grounded_inverse_diag(GroundedSystem._checked(s.graph, s.defense_set, s.gain))
         per_node = {i: 0.5 * float(gdiag[i]) for i in s.attack_set}
         constant = 0.5 * s.budget
     value_sq = float(_cells(np.array(list(per_node.values())), s.law))

@@ -137,14 +137,14 @@ class GameMatrix:
         """(W̃, τ): a table of W's shape and a bound τ on |W̃ - rows| entry by entry.
 
         For law 2 with no exact table in hand, the low-rank rows of
-        `_low_rank_rows`, from the `_shifted` R that a sweep hands each
-        of its games, or else builds here; the game keeps no copy.
+        `_low_rank_rows`, from the `_shifted(graph)` a sweep hands each of
+        its games, None included, or else builds here; the game keeps no copy.
         Otherwise, or when G cannot be factored or τ is not finite, W̃ is
         `rows` itself and τ = 0: the exact case of the same decisions.
         """
         if self.law is ControlLaw.REL_VELOCITY and "rows" not in vars(self):
             subsets = self.index.subsets  # the cap is checked before G is inverted
-            shifted = vars(self).pop("_shifted", None) or _shifted(self.graph)
+            shifted = vars(self).pop("_shifted") if "_shifted" in vars(self) else _shifted(self.graph)
             if shifted is not None:
                 w, tau = _low_rank_rows(shifted, self.gain, subsets)
                 if math.isfinite(tau):
@@ -580,7 +580,7 @@ def sweep_gain(g: Graph, f: int, law: ControlLaw, kappa_grid) -> list[SweepRow]:
         raise ConfigError("gain grid must be nonempty")
     base = build_matrix(g, grid[0], f, law)  # one subset index for every gain
     step = max(1, _BLOCK_CELLS // len(base.index.subsets))  # enumerated before G is inverted
-    shifted = _shifted(g) if base.law is ControlLaw.REL_VELOCITY else None
+    shared = {"_shifted": _shifted(g)} if base.law is ControlLaw.REL_VELOCITY else {}
     rows = []
     for lo in range(0, len(grid), step):
         block = grid[lo : lo + step]
@@ -589,8 +589,7 @@ def sweep_gain(g: Graph, f: int, law: ControlLaw, kappa_grid) -> list[SweepRow]:
             for m, leader in zip(games, _law1_leaders(base, block)):
                 vars(m)["leader_row"] = leader
         for m in games:
-            if shifted is not None:
-                vars(m)["_shifted"] = shifted
+            vars(m).update(shared)  # None too when G does not factor: `approx` then uses `rows`
             r = solve(m)
             rows.append(SweepRow(m.gain, r.kind, r.defender_set, r.attacker_set, r.value))
     return rows

@@ -128,12 +128,9 @@ def grounded_inverse_diag(gs: GroundedSystem, work: tuple[np.ndarray, ...] | Non
     factors many rows passes the same three to them all.
     """
     lap = gs.base._laplacian
-    if work is None:
-        lbar, eye = lap.copy(), np.eye(len(lap))
-    else:
-        lbar, eye, identity = work
-        np.copyto(lbar, lap)
-        np.copyto(eye, identity)
+    lbar, eye, identity = work or (np.empty_like(lap), np.empty_like(lap), np.eye(len(lap)))
+    np.copyto(lbar, lap)
+    np.copyto(eye, identity)
     for i in gs.defense_set:  # for f of a few nodes, 8x faster than a fancy-indexed add
         lbar[i, i] += gs.gain
     return _cholesky_inverse(lbar, eye, ConvergenceError, "grounded Laplacian").diagonal().copy()

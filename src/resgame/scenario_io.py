@@ -93,15 +93,18 @@ def parse_graph_json(obj: dict) -> Graph:
         raise
 
 
+def _json(path: Path, text: str, error: type[Exception]):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+
+
 def load_graph(path: str | Path) -> Graph:
     path = Path(path)
     text = _read_text(path)
     if path.suffix == ".json" or text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-        return parse_graph_json(obj)
+        return parse_graph_json(_json(path, text, GraphError))
     return parse_graph_text(text)
 
 
@@ -191,11 +194,7 @@ def scenario_from_dict(obj: dict, base_dir: str | Path = ".") -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    try:
-        obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return scenario_from_dict(obj, base_dir=path.parent)
+    return scenario_from_dict(_json(path, _read_text(path), ConfigError), base_dir=path.parent)
 
 
 def _bits(array: np.ndarray) -> np.ndarray:

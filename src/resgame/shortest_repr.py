@@ -135,8 +135,8 @@ def _digit_words(d: np.ndarray, unit: np.ndarray):
 
     Each is 3 little-endian words of d's 24 ASCII digits, masked: the
     integer digits from the first significant or the units one, the
-    fraction from the first fractional digit to the last nonzero one,
-    and the '.' at byte unit.
+    fraction from the first fractional digit to the last nonzero one
+    (`last` of d's lowest nonzero 4-digit group), and the '.' at byte unit.
     """
     _, quads, last, integer_masks, fraction_masks, dots = _repr_tables()
     q, rest = [], d  # d's digits 20-23, 16-19, 12-15, 8-11 and 4-7, each read as a number below 10^4
@@ -145,10 +145,10 @@ def _digit_words(d: np.ndarray, unit: np.ndarray):
         q.append((rest - top * _U(10_000)).view(np.int64))
         rest = top
     q.append(rest.view(np.int64))
-    end = last.take(q[0])
-    for i in np.flatnonzero(end < 0).tolist():  # a multiple of 10^4: its trailing zeros one by one
-        text = str(int(d[i]))
-        end[i] = 23 - len(text) + len(text.rstrip("0"))
+    k, end = 0, last.take(q[0])
+    while len(at := np.flatnonzero(end < 0)):  # multiples of 10^4(k+1): look a group up
+        k += 1
+        end[at] = last.take(q[k].take(at)) - 4 * k
     words = [quads.take(q[4]) << _U(32) | quads[0], quads.take(q[3]) | quads.take(q[2]) << _U(32),
              quads.take(q[1]) | quads.take(q[0]) << _U(32)]
     del q  # fewer live temporaries: each uint64 block array is 32 KB

@@ -790,6 +790,17 @@ class TestCertifiedRows:
         assert [(r.kind, r.defender_set, r.attacker_set, r.value) for r in rows] == [
             (e.kind, e.defender_set, e.attacker_set, e.value) for e in expected]
 
+    def test_law2_sweep_tries_an_unfactorable_g_once(self, monkeypatch):
+        # G of the one-node graph does not factor: the sweep's None is handed
+        # to every gain, not recomputed by each game's `approx`
+        calls = []
+        monkeypatch.setattr(game_module, "shifted_inverse",
+                            lambda g, a: calls.append(a) or shifted_inverse(g, a))
+        rows = sweep_gain(Graph(1, ()), 1, LAW2, [0.5, 1.0, 2.0, 4.0])
+        assert len(calls) == 1
+        assert [r.value for r in rows] == [solve(build_matrix(Graph(1, ()), k, 1, LAW2)).value
+                                           for k in (0.5, 1.0, 2.0, 4.0)]
+
     def test_dense_ties(self, monkeypatch):
         # symmetric graphs: many rows share their largest payoff exactly
         twin_leaves = Graph(8, ((0, 1), (1, 2), (2, 3), (2, 4), (0, 5), (0, 6), (1, 7)))

@@ -28,7 +28,7 @@ from resgame import (
     sweep_gain,
 )
 from resgame import scenario_io
-from resgame.graphcore import complete_graph, path_graph
+from resgame.graphcore import complete_graph, path_graph, star_graph
 from resgame.scenario_io import (
     _KERNEL_CELLS,
     _ROW_SEP,
@@ -48,7 +48,7 @@ from resgame.scenario_io import (
     write_matrix_csv,
     write_sweep_csv,
 )
-from resgame.shortest_repr import _repr_tables
+from resgame.shortest_repr import _repr_tables, _shortest
 
 from conftest import random_connected_graph
 
@@ -716,3 +716,35 @@ def test_kernel_equals_repr_and_json_dumps_on_corpus():
     rows = b"".join(_marked(blocks, _ROW_SEP, json.dumps)).decode("ascii").split(";")[1:]
     sep = _ROW_SEP.decode()
     assert rows == [sep.join(dumped[i : i + 100]) for i in range(0, 100 * len(matrix), 100)]
+
+
+def test_kernel_finds_the_last_digit_of_multiples_of_ten_thousand():
+    # d a multiple of 10^4, 10^8, 10^12 or 10^16: the last nonzero digit is in a
+    # 4-digit group above d's lowest, at each of its positions, both signs
+    rng = np.random.default_rng(34)
+    values = []
+    for length in range(1, 18):  # significant digits, the last nonzero
+        for _ in range(60):
+            digits = int(rng.integers(10 ** (length - 1), 10**length)) // 10 * 10 + int(rng.integers(1, 10))
+            exponent = int(rng.integers(-3 - length, 17 - length))  # 1e-4 <= x < 1e16
+            values.append(float(f"{digits}e{exponent}") * rng.choice([-1.0, 1.0]))
+    values = np.array(values)
+    values = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+    d, _ = _shortest(values.view(np.uint64))
+    zeros = np.array([len(text) - len(text.rstrip("0")) for text in map(str, d.tolist())])
+    for count in range(4, 17):  # d < 10^17, so 10^16 is its only multiple of 10^16 and up
+        assert {1.0, -1.0} <= set(np.sign(values[zeros == count]).tolist()), count
+    plain = values.tolist()
+    texts = _fixed_text(values.reshape(-1, 1), b",").translate(None, b"\0").decode("ascii").split(";")[1:]
+    assert texts == [float.__repr__(x) for x in plain]
+    assert texts == json.dumps(plain)[1:-1].split(", ")
+
+
+@pytest.mark.parametrize("graph", [path_graph(12), star_graph(10)], ids=["path12", "star10"])
+@pytest.mark.parametrize("gain", [0.5, 1.0, 2.0])
+def test_round_valued_law2_matrices_match_json_dumps(graph, gain):
+    # unit weights: most cells have shortest digits ending in 10^4 or more zeros
+    values = build_matrix(graph, gain, 2, ControlLaw.REL_VELOCITY).values
+    assert "".join(json_pieces({"values": values})) == json.dumps({"values": values.tolist()}, indent=2)
+    kernel = b"".join(_entry_marked(block, _ROW_SEP, json.dumps) for block in _row_blocks(values))
+    assert kernel.decode("ascii") == "".join(";" + ",\n      ".join(map(json.dumps, row)) for row in values.tolist())

@@ -19,8 +19,11 @@ gain; law-2 `matrix --f 1` and `--f 3`, in JSON and in CSV, on the first
 export-matrix graph at its task's gain; a law-2 `matrix --f 2` on a copy
 of that graph with edge weights 10^U(-2, 2) (`random.Random` seeded by
 the seed) and on a hub-and-path graph (node 0 with 20 leaves and a
-20-node path, gain 0.7); and `h2 --config` for each h2-oracle task, with
-the task's scenario in a config file that names its graph file.
+20-node path, gain 0.7); a law-2 `matrix --f 2` at gain 1, in JSON and in
+CSV, on a 30-node path and a 30-node star, whose round payoffs reach
+every digit group of the shortest-repr kernel; and `h2 --config` for each
+h2-oracle task, with the task's scenario in a config file that names its
+graph file.
 
 `--workloads sweep-law1,solve-law2` runs only those groups, in the order
 of benchmarks/workloads.py and then `other-commands`, so checking one
@@ -113,6 +116,13 @@ def _other_commands(workloads, seed: int, inputs: Path) -> list[tuple[str, list[
         path.write_text(json.dumps(obj) + "\n")
         runs.append((f"matrix-law2-f2-{name}", ["matrix", "--graph", str(path), "--law", "2", "--gain", gain,
                                                  "--f", "2"], ".json"))
+    path30, star30 = [[i, i + 1] for i in range(29)], [[0, i] for i in range(1, 30)]
+    for name, edges in (("path-n30", path30), ("star-n30", star30)):  # many shortest digits end in 4+ zeros
+        path = inputs / (name + ".json")
+        path.write_text(json.dumps({"n": 30, "edges": edges}) + "\n")
+        for fmt in ("json", "csv"):
+            argv = ["matrix", "--graph", str(path), "--law", "2", "--gain", "1", "--f", "2", "--format", fmt]
+            runs.append((f"matrix-law2-f2-{fmt}-{name}", argv, "." + fmt))
     for task, graph in graphs["h2-oracle"]:
         config = graph.with_name(task.id + ".config.json")
         scenario = {"graph": graph.name, "law": task.meta["law"], "gain": task.meta["gains"][0],
